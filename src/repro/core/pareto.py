@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from ..errors import AnalysisError
 
@@ -106,6 +105,9 @@ def fit_power_law(
             f"need at least 3 points in r ∈ [{r_min}, {r_max}] to fit, "
             f"got {len(selected)}"
         )
+    # Imported here so ``import repro`` does not pay for scipy.
+    from scipy.optimize import curve_fit
+
     r = np.array([pt.temp_reduction for pt in selected])
     t = np.array([pt.throughput_reduction for pt in selected])
 

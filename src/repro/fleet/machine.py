@@ -9,7 +9,7 @@ temperature log, and all nodes' events interleave on one shared
 physics: every machine is a copy of the same thermal network, so the
 whole fleet's temperatures live in one ``(machines, nodes)`` array
 inside a :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator` and
-cohorts of machines advance with one fused matmul per substep.
+cohorts of machines advance with one batched propagation per substep.
 
 How per-machine event streams drive batched physics
 ---------------------------------------------------
@@ -30,25 +30,24 @@ integrated yet; segments queue per node.
 
 Integration happens in batch when temperatures are actually needed
 (a temperature-log sample, a ``core_temps`` read, or the end of
-:meth:`FleetMachine.run`): the drain repeatedly groups the
-head-of-queue segments across nodes into cohorts of equal duration —
-equal duration means equal substep length ``h``, the precondition for
-sharing one step kernel — and advances each cohort with one batched
-call.  Deferring is sound because power coefficients are segment
-constants: they capture the chip state at recording time and do not
-depend on when the integral is evaluated.  Per-node segment order is
-preserved, so each machine sees exactly the integral a standalone
-machine would have computed; a fleet of one machine is *bit-identical*
-to a standalone :class:`Machine` (the tests pin this), and an N-machine
-fleet matches N independent runs to well under the repo-wide 1e-9 °C
-equivalence tolerance.
+:meth:`FleetMachine.run`): each drain round pops the head-of-queue
+segment of every node that still has one and advances them all as one
+cohort with one batched call, each column with its own duration and
+therefore its own substep length.  Deferring is sound because power
+coefficients are segment constants: they capture the chip state at
+recording time and do not depend on when the integral is evaluated.
+Per-node segment order is preserved, so each machine sees exactly the
+integral a standalone machine would have computed; a fleet of one
+machine is *bit-identical* to a standalone :class:`Machine` (the tests
+pin this), and an N-machine fleet matches N independent runs to well
+under the repo-wide 1e-9 °C equivalence tolerance.
 
-When the fleet's event streams align (lockstep workloads, or the
-synchronized benchmark), cohorts span the whole fleet and the batched
-kernel does one ``(nodes, 2·nodes+1) @ (2·nodes+1, N)`` matmul per
-substep; under desynchronized workloads (per-node Poisson arrivals)
-cohorts shrink and the path degrades gracefully toward per-machine
-gemvs that still share the step-kernel cache.
+Cohorts therefore span every node with pending physics, whether or not
+the fleet's event streams align.  Lockstep rounds (all durations
+equal) share one step kernel and cost one
+``(nodes, 2·nodes+1) @ (2·nodes+1, N)`` gemm per substep; mixed rounds
+build one kernel per column in a single gemm from the network's
+eigenbasis and propagate with one stacked matmul per substep.
 
 Telemetry (shared registry, additive across nodes): the integrator's
 ``fleet.machines`` / ``fleet.substeps`` / ``fleet.advance_wall``, plus
@@ -263,8 +262,7 @@ class FleetMachine:
 
         self.sim = Simulator()
         #: One network shared by every node: homogeneous machines share
-        #: the step-kernel LRU, so each distinct substep length costs
-        #: one ``expm`` for the whole fleet.
+        #: one eigenbasis, so one gemm builds a whole cohort's kernels.
         self.network = build_network(cfg.thermal, cfg.num_cores)
 
         scope = _metrics_registry().scope("fleet")
@@ -407,12 +405,12 @@ class FleetMachine:
     def _drain(self) -> None:
         """Integrate every recorded segment, batching across nodes.
 
-        Head-of-queue segments with exactly equal durations share a
-        substep length, so they advance as one cohort; rounds repeat
-        until all queues are empty.  Per-node segment order is
-        preserved, which is all machine-level equivalence needs —
-        cohort membership only changes floating-point summation order
-        inside the gemm.
+        Each round advances the head-of-queue segment of every node
+        with pending physics as one cohort, one duration per column;
+        rounds repeat until all queues are empty.  Per-node segment
+        order is preserved, which is all machine-level equivalence
+        needs — cohort membership only changes floating-point
+        summation order inside the batched propagation.
         """
         nodes = self.nodes
         active = [j for j in range(self.num_machines) if nodes[j].pending]
@@ -420,17 +418,15 @@ class FleetMachine:
             return
         integrator = self.integrator
         while active:
-            groups: Dict[float, List[int]] = {}
-            for j in active:
-                groups.setdefault(nodes[j].pending[0].duration, []).append(j)
-            for duration, members in groups.items():
-                segments = [nodes[j].pending.popleft() for j in members]
-                stack = self._cohort_stack([s.coefficients for s in segments])
-                energies = integrator.advance_machines(members, duration, stack)
-                for j, segment, energy in zip(members, segments, energies):
-                    nodes[j].powermeter.record_segment(
-                        segment.start, segment.duration, energy / segment.duration
-                    )
+            segments = [nodes[j].pending.popleft() for j in active]
+            stack = self._cohort_stack([s.coefficients for s in segments])
+            energies = integrator.advance_machines(
+                active, [s.duration for s in segments], stack
+            )
+            for j, segment, energy in zip(active, segments, energies):
+                nodes[j].powermeter.record_segment(
+                    segment.start, segment.duration, energy / segment.duration
+                )
             active = [j for j in active if nodes[j].pending]
         self._metric_drains.inc()
 

@@ -77,11 +77,23 @@ def test_default_network_has_separated_time_scales():
     assert taus[-1] > 30.0  # sink-scale: tens of seconds
 
 
-def test_propagator_cached():
-    net = two_node_network()
-    a = net.propagator(0.005)
-    b = net.propagator(0.005)
-    assert a is b
+@settings(max_examples=60, deadline=None)
+@given(h=st.floats(min_value=0.0, max_value=1.0))
+def test_modal_kernel_matches_expm(h):
+    """The eigenbasis kernel reproduces the matrix-exponential kernel
+    (propagator, power injection and ambient shift) to ≤1e-13."""
+    from scipy.linalg import expm
+
+    for net in (two_node_network(), build_network(default(), num_cores=4)):
+        n = net.num_nodes
+        h9 = float(np.round(h, 9))  # the kernel's own quantisation
+        exact = expm(-net._laplacian / net.capacitances[:, None] * h9)
+        complement = np.eye(n) - exact
+        kernel = net.step_kernel(h)
+        assert np.max(np.abs(kernel.propagator - exact)) <= 1e-13
+        assert np.max(np.abs(kernel.inject - complement @ net._laplacian_inv)) <= 1e-13
+        ambient = complement @ np.full(n, net.ambient_temp)
+        assert np.max(np.abs(kernel.ambient_shift - ambient)) <= 1e-13 * net.ambient_temp
 
 
 def test_propagator_semigroup_property():
@@ -91,6 +103,19 @@ def test_propagator_semigroup_property():
     e2 = net.propagator(0.007)
     e3 = net.propagator(0.010)
     assert np.allclose(e1 @ e2, e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.floats(min_value=0.0, max_value=0.5),
+    b=st.floats(min_value=0.0, max_value=0.5),
+)
+def test_propagator_semigroup_over_random_steps(a, b):
+    """E(a+b) = E(a) E(b) for arbitrary (nanosecond-quantised) steps."""
+    a, b = round(a, 9), round(b, 9)
+    net = build_network(default(), num_cores=4)
+    product = net.propagator(a) @ net.propagator(b)
+    assert np.max(np.abs(net.propagator(a + b) - product)) <= 1e-13
 
 
 def test_rejects_asymmetric_conductances():
