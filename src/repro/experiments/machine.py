@@ -9,16 +9,23 @@ splitting at C-state promotion instants so idle power is time-accurate.
 The machine starts from *thermal equilibrium at idle* — the paper's
 baseline "idle temperature" — so temperature-rise metrics are
 well-defined from t = 0.
+
+The server itself — chip, idle injector, scheduler, control interface,
+instruments, health monitor and readouts — is :class:`ServerStack`,
+shared with the fleet's :class:`repro.fleet.machine.FleetNode`; the
+two differ only in how physics reaches the stack's temperature source
+(eager integration here, deferred cohort integration in a fleet).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..core.injector import IdleInjector, IdleMode
 from ..cpu.chip import Chip
+from ..cpu.power import PowerCoefficients
 from ..errors import ConfigurationError
 from ..health import HealthMonitor, HealthParams
 from ..instruments.powermeter import PowerMeter
@@ -28,51 +35,70 @@ from ..sched.syscalls import DimetrodonControl
 from ..sim.engine import Simulator
 from ..sim.rng import RngRegistry
 from ..thermal.floorplan import build_network
-from ..thermal.rcnetwork import ThermalIntegrator
+from ..thermal.rcnetwork import ThermalIntegrator, ThermalNetwork
 from ..thermal.sensors import SensorBank
 from .config import ExperimentConfig
 
 
-class Machine:
-    """A fully wired simulated server."""
+def long_idle_chip(config: ExperimentConfig) -> Chip:
+    """A chip built from ``config`` whose cores have been idle for a
+    long time, so every core starts in its deepest C-state."""
+    chip = Chip(
+        config.power,
+        num_cores=config.num_cores,
+        smt=config.smt,
+        cstate_params=config.cstates,
+        c1e_enabled=config.c1e_enabled,
+    )
+    for core in chip.cores:
+        core.set_idle(-1e6)
+    return chip
+
+
+def idle_equilibrium(config: ExperimentConfig, network: ThermalNetwork) -> np.ndarray:
+    """Node temperatures (°C) of ``network`` settled under a long-idle
+    chip's power: the idle baseline every server starts from.
+
+    The settle runs on a probe chip, never a server's own, so it sees
+    the chip long-idle whatever the server's scheduler does at start.
+    """
+    probe = ThermalIntegrator(network, max_substep=config.thermal.max_substep)
+    _, idle_power_fn = long_idle_chip(config).power_function(time=0.0)
+    return probe.settle(idle_power_fn)
+
+
+class ServerStack:
+    """One server's OS stack, instruments and readouts.
+
+    ``sim`` is the simulator surface the server schedules on (``now``,
+    ``schedule``, ``schedule_at``); ``temps()`` returns its node
+    temperatures (°C) with physics integrated up to ``sim.now``;
+    ``index`` is its place in a rack (0 standalone), tagging health
+    alerts.  Construction order and RNG stream names are fixed here
+    once, so every server built from one config produces the same
+    event stream whichever physics drives it.  The subclass wires its
+    physics before calling in: the scheduler starts here, last.
+    """
 
     def __init__(
         self,
-        config: Optional[ExperimentConfig] = None,
+        config: ExperimentConfig,
+        sim,
+        temps: Callable[[], np.ndarray],
+        idle_core_temps: np.ndarray,
         *,
-        idle_mode: IdleMode = IdleMode.HALT,
-        co_schedule_smt: bool = False,
-        fast_physics: bool = True,
+        idle_mode: IdleMode,
+        co_schedule_smt: bool,
+        index: int = 0,
     ):
-        self.config = config or ExperimentConfig()
-        cfg = self.config
-        #: Integrate thermals via the fused vectorized kernel (default)
-        #: or the scalar power-callback reference path.  The two are
-        #: numerically equivalent (tests pin end-to-end agreement to
-        #: 1e-9 °C); the scalar path exists as the oracle.
-        self.fast_physics = fast_physics
-
-        self.sim = Simulator()
-        self.rng = RngRegistry(cfg.seed)
-        self.chip = Chip(
-            cfg.power,
-            num_cores=cfg.num_cores,
-            smt=cfg.smt,
-            cstate_params=cfg.cstates,
-            c1e_enabled=cfg.c1e_enabled,
-        )
-        self.network = build_network(cfg.thermal, cfg.num_cores)
-
-        # --- idle-equilibrium initial condition -----------------------
-        for core in self.chip.cores:
-            core.set_idle(-1e6)  # long-idle: deep state from the start
-        self.integrator = ThermalIntegrator(
-            self.network, max_substep=cfg.thermal.max_substep
-        )
-        _, idle_power_fn = self.chip.power_function(time=0.0)
-        self.integrator.settle(idle_power_fn)
+        self.config = cfg = config
+        self.sim = sim
+        self.index = index
+        self._temps = temps
         #: Per-core idle temperatures — the paper's baseline, °C.
-        self.idle_core_temps = self.integrator.temps[: cfg.num_cores].copy()
+        self.idle_core_temps = idle_core_temps
+        self.rng = RngRegistry(cfg.seed)
+        self.chip = long_idle_chip(cfg)
 
         # --- OS and Dimetrodon ----------------------------------------
         self.injector = IdleInjector(mode=idle_mode, co_schedule_smt=co_schedule_smt)
@@ -87,7 +113,7 @@ class Machine:
                 f"unknown scheduler_queue {cfg.scheduler_queue!r} (bsd|ule)"
             )
         self.scheduler = Scheduler(
-            self.sim,
+            sim,
             self.chip,
             quantum=cfg.quantum,
             context_switch_cost=cfg.context_switch_cost,
@@ -107,16 +133,14 @@ class Machine:
         else:
             self.sensors = SensorBank.ideal(core_nodes)
         self.templog = TemperatureLog(
-            self.sim,
-            lambda: self.sensors.read(self.integrator.temps),
+            sim,
+            lambda: self.sensors.read(temps()),
             period=cfg.temp_sample_period,
             num_cores=cfg.num_cores,
         )
 
         #: Optional thermal health monitor (see :meth:`attach_health`).
         self.health: Optional[HealthMonitor] = None
-
-        self.sim.add_advance_listener(self._advance_physics)
         self.scheduler.start()
 
     # ------------------------------------------------------------------
@@ -125,62 +149,54 @@ class Machine:
     def attach_health(
         self, params: Optional[HealthParams] = None
     ) -> HealthMonitor:
-        """Attach a thermal health monitor to this machine.
+        """Attach a thermal health monitor to this server.
 
         The monitor samples through its own quantised (optionally
         noisy) :class:`~repro.thermal.sensors.SensorBank` — never the
         true integrator state — and classifies against thresholds
-        pinned to this machine's idle baseline.  Call once; the monitor
-        is also exposed as :attr:`health`.
+        pinned to this server's idle baseline.  Noisy monitors draw
+        from the dedicated ``"health-sensors"`` RNG stream, so monitor
+        reads never perturb the temperature log's noise sequence and
+        identical seeds reproduce identical alert streams.  Call once;
+        the monitor is also exposed as :attr:`health`.
         """
         if self.health is not None:
             raise ConfigurationError("health monitor already attached")
         params = params or HealthParams()
-        cfg = self.config
-        core_nodes = list(range(cfg.num_cores))
+        core_nodes = list(range(self.config.num_cores))
         rng = self.rng.stream("health-sensors") if params.noisy else None
         self.health = HealthMonitor(
             self.sim,
             params.sensor_bank(core_nodes, rng),
-            lambda: self.integrator.temps,
+            self._temps,
             thresholds=params.thresholds(self.idle_mean_temp),
             period=params.period,
+            machine=self.index,
         )
         return self.health
 
     # ------------------------------------------------------------------
-    # Physics co-simulation
+    # Physics pieces
     # ------------------------------------------------------------------
-    def _advance_physics(self, t0: float, t1: float) -> None:
-        """Integrate thermals over [t0, t1], splitting at C-state edges."""
+    def power_pieces(
+        self, t0: float, t1: float
+    ) -> Iterator[Tuple[float, float, PowerCoefficients]]:
+        """The physics pieces of [t0, t1] as ``(start, duration,
+        coefficients)``, split at C-state promotion instants, with each
+        piece's C-state residency accounted.
+
+        Coefficients are evaluated at the piece midpoint: a boundary
+        sits exactly on a promotion instant, where float roundoff could
+        misclassify the whole piece.
+        """
         chip = self.chip
-        integrator = self.integrator
-        powermeter = self.powermeter
         edges = [t0] + chip.cstate_breakpoints(t0, t1) + [t1]
-        fast = self.fast_physics
         for a, b in zip(edges, edges[1:]):
             if b <= a:
                 continue
-            # Evaluate C-states at the piece midpoint: a piece boundary
-            # sits exactly on a promotion instant, where float roundoff
-            # on the comparison could misclassify the whole piece.
-            if fast:
-                # Segment-reusing fused path: coefficient sets survive
-                # across event gaps while no core/DVFS/TCC state changes.
-                cstates, coefficients = chip.power_segment(0.5 * (a + b))
-                result = integrator.advance_coefficients(b - a, coefficients)
-            else:
-                cstates, power_fn = chip.power_function(time=0.5 * (a + b))
-                result = integrator.advance(b - a, power_fn)
+            cstates, coefficients = chip.power_segment(0.5 * (a + b))
             chip.record_residency(cstates, b - a)
-            powermeter.record_segment(a, b - a, result.average_power)
-
-    # ------------------------------------------------------------------
-    # Running
-    # ------------------------------------------------------------------
-    def run(self, duration: float) -> None:
-        """Advance the simulation by ``duration`` seconds."""
-        self.sim.run(until=self.sim.now + duration)
+            yield a, b - a, coefficients
 
     # ------------------------------------------------------------------
     # Convenience measurements
@@ -192,7 +208,7 @@ class Machine:
     @property
     def core_temps(self) -> np.ndarray:
         """Current true per-core temperatures, °C."""
-        return self.integrator.temps[: self.config.num_cores].copy()
+        return self._temps()[: self.config.num_cores].copy()
 
     @property
     def idle_mean_temp(self) -> float:
@@ -202,7 +218,11 @@ class Machine:
     def mean_core_temp_over_window(self, window: Optional[float] = None) -> float:
         """Mean core temperature over the trailing window (default: the
         config's measurement window — the paper's last-30 s average)."""
-        return self.templog.mean_over_window(window or self.config.measure_window)
+        if window is None:
+            window = self.config.measure_window
+        elif window <= 0:
+            raise ConfigurationError(f"averaging window must be positive, got {window}")
+        return self.templog.mean_over_window(window)
 
     def temp_rise_over_idle(self, window: Optional[float] = None) -> float:
         """Mean core temperature rise over the idle baseline, °C."""
@@ -214,4 +234,45 @@ class Machine:
 
     def energy(self, start: float = -np.inf, end: float = np.inf) -> float:
         """Package energy over [start, end], J."""
+        self._temps()  # brings physics, and so the meter, up to now
         return self.powermeter.energy(start, end)
+
+
+class Machine(ServerStack):
+    """A fully wired simulated server, integrating its physics eagerly."""
+
+    def __init__(
+        self,
+        config: Optional[ExperimentConfig] = None,
+        *,
+        idle_mode: IdleMode = IdleMode.HALT,
+        co_schedule_smt: bool = False,
+    ):
+        config = config or ExperimentConfig()
+        self.network = build_network(config.thermal, config.num_cores)
+        self.integrator = ThermalIntegrator(
+            self.network,
+            initial_temps=idle_equilibrium(config, self.network),
+            max_substep=config.thermal.max_substep,
+        )
+        sim = Simulator()
+        sim.add_advance_listener(self._advance_physics)
+        super().__init__(
+            config,
+            sim,
+            lambda: self.integrator.temps,
+            self.integrator.temps[: config.num_cores].copy(),
+            idle_mode=idle_mode,
+            co_schedule_smt=co_schedule_smt,
+        )
+
+    def _advance_physics(self, t0: float, t1: float) -> None:
+        """Integrate thermals over [t0, t1], piece by piece."""
+        integrator, powermeter = self.integrator, self.powermeter
+        for start, duration, coefficients in self.power_pieces(t0, t1):
+            result = integrator.advance_coefficients(duration, coefficients)
+            powermeter.record_segment(start, duration, result.average_power)
+
+    def run(self, duration: float) -> None:
+        """Advance the simulation by ``duration`` seconds."""
+        self.sim.run(until=self.sim.now + duration)

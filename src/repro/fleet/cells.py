@@ -208,10 +208,10 @@ def _node_setup(
         if heat_and_run:
             def read_temps(node=node):
                 sample = node.templog.latest()
-                return node.fleet.idle_core_temps if sample is None else sample
+                return node.idle_core_temps if sample is None else sample
 
             policy = ThermalMigrationPolicy(
-                node.simview, node.scheduler, read_temps, period=1.0, min_delta=0.5
+                node.sim, node.scheduler, read_temps, period=1.0, min_delta=0.5
             )
             core_policies.append(policy)
             return policy

@@ -18,6 +18,7 @@ as before (see docs/running-experiments.md).
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
@@ -221,6 +222,10 @@ def _measure_rack(
     production posture: monitoring is not optional, and the
     alert-reactive policy requires it.
     """
+    # A finished rack is reference cycles only the cycle collector
+    # frees: free the previous one now, so back-to-back racks never
+    # hold two racks' memory whenever the collector happens to run.
+    gc.collect()
     fleet = FleetMachine(config, machines=machines)
     health = fleet.attach_health(health_params)
     servers: List[WebServer] = [

@@ -1,15 +1,15 @@
 """A rack of simulated servers sharing one event queue and one
 structure-of-arrays physics state.
 
-A :class:`FleetMachine` is ``N`` copies of the single-server testbed
-(:class:`repro.experiments.machine.Machine`): each node gets its own
-chip, scheduler, idle injector, RNG registry, power meter, sensors and
-temperature log, and all nodes' events interleave on one shared
-:class:`~repro.sim.engine.Simulator`.  What is *not* per-node is the
-physics: every machine is a copy of the same thermal network, so the
-whole fleet's temperatures live in one ``(machines, nodes)`` array
-inside a :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator` and
-cohorts of machines advance with one batched propagation per substep.
+A :class:`FleetMachine` is ``N`` servers, each a :class:`FleetNode`:
+the same :class:`~repro.experiments.machine.ServerStack` a standalone
+:class:`~repro.experiments.machine.Machine` is, with all nodes' events
+interleaved on one shared :class:`~repro.sim.engine.Simulator`.  What
+is *not* per-node is the physics: every machine is a copy of the same
+thermal network, so the whole fleet's temperatures live in one
+``(machines, nodes)`` array inside a
+:class:`~repro.thermal.rcnetwork.FleetThermalIntegrator` and cohorts of
+machines advance with one batched propagation per substep.
 
 How per-machine event streams drive batched physics
 ---------------------------------------------------
@@ -23,10 +23,9 @@ with a standalone machine.  Instead, each node schedules its callbacks
 through a :class:`_NodeSimView`, a node-scoped view of the shared
 simulator that wraps every callback: immediately before a node's event
 runs, the node's physics *gap* (from its last event to now) is closed
-by **recording** power segments — split at that node's own C-state
-promotion instants, coefficients evaluated at piece midpoints, exactly
-the piece structure the standalone machine integrates.  Nothing is
-integrated yet; segments queue per node.
+by **recording** the node's power pieces — the very pieces the
+standalone machine integrates.  Nothing is integrated yet; pieces
+queue per node.
 
 Integration happens in batch when temperatures are actually needed
 (a temperature-log sample, a ``core_temps`` read, or the end of
@@ -40,14 +39,9 @@ Per-node segment order is preserved, so each machine sees exactly the
 integral a standalone machine would have computed; a fleet of one
 machine is *bit-identical* to a standalone :class:`Machine` (the tests
 pin this), and an N-machine fleet matches N independent runs to well
-under the repo-wide 1e-9 °C equivalence tolerance.
-
-Cohorts therefore span every node with pending physics, whether or not
-the fleet's event streams align.  Lockstep rounds (all durations
-equal) share one step kernel and cost one
-``(nodes, 2·nodes+1) @ (2·nodes+1, N)`` gemm per substep; mixed rounds
-build one kernel per column in a single gemm from the network's
-eigenbasis and propagate with one stacked matmul per substep.
+under the repo-wide 1e-9 °C equivalence tolerance.  Cohorts span every
+node with pending physics, whether or not the event streams align
+(see :class:`~repro.thermal.rcnetwork.FleetThermalIntegrator`).
 
 Telemetry (shared registry, additive across nodes): the integrator's
 ``fleet.machines`` / ``fleet.substeps`` / ``fleet.advance_wall``, plus
@@ -58,27 +52,19 @@ stack build/reuse counters from this module.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.injector import IdleInjector, IdleMode
-from ..cpu.chip import Chip
+from ..core.injector import IdleMode
 from ..cpu.power import FleetCoefficients, PowerCoefficients
-from ..errors import ConfigurationError
 from ..experiments.config import ExperimentConfig
-from ..health import FleetHealth, HealthMonitor, HealthParams
-from ..instruments.powermeter import PowerMeter
-from ..instruments.templog import TemperatureLog
-from ..sched.scheduler import Scheduler
-from ..sched.syscalls import DimetrodonControl
+from ..experiments.machine import ServerStack, idle_equilibrium
+from ..health import FleetHealth, HealthParams
 from ..sim.engine import Event, Simulator
-from ..sim.rng import RngRegistry
 from ..telemetry.registry import registry as _metrics_registry
 from ..thermal.floorplan import build_network
-from ..thermal.rcnetwork import FleetThermalIntegrator, ThermalIntegrator
-from ..thermal.sensors import SensorBank
+from ..thermal.rcnetwork import FleetThermalIntegrator
 
 
 class _NodeSimView:
@@ -114,23 +100,12 @@ class _NodeSimView:
         callback(*args)
 
 
-@dataclass
-class _PendingSegment:
-    """One recorded, not-yet-integrated physics piece of one node."""
-
-    start: float
-    duration: float
-    coefficients: PowerCoefficients
-
-
-class FleetNode:
-    """One server of the fleet: the full single-machine OS stack, with
-    physics delegated to the fleet's batched integrator.
-
-    Wiring mirrors :class:`repro.experiments.machine.Machine` component
-    for component (same construction order, same RNG stream names, same
-    instrument parameters) — that is what makes a fleet node's event
-    stream, and therefore its physics piece structure, identical to a
+class FleetNode(ServerStack):
+    """One server of the fleet: a server stack scheduling through a
+    node-scoped view of the shared simulator (:attr:`sim`) and reading
+    temperatures from the fleet's batched integrator.  Being the same
+    stack as :class:`~repro.experiments.machine.Machine` is what makes
+    a node's event stream, and so its physics pieces, identical to a
     standalone machine built from the same config.
     """
 
@@ -144,97 +119,20 @@ class FleetNode:
         co_schedule_smt: bool,
     ):
         self.fleet = fleet
-        self.index = index
-        self.config = config
-        cfg = config
-        self.simview = _NodeSimView(fleet, index, fleet.sim)
-        self.rng = RngRegistry(cfg.seed)
-        self.chip = Chip(
-            cfg.power,
-            num_cores=cfg.num_cores,
-            smt=cfg.smt,
-            cstate_params=cfg.cstates,
-            c1e_enabled=cfg.c1e_enabled,
-        )
-        for core in self.chip.cores:
-            core.set_idle(-1e6)  # long-idle: deep state from the start
-
-        self.injector = IdleInjector(mode=idle_mode, co_schedule_smt=co_schedule_smt)
-        if cfg.scheduler_queue == "ule":
-            from ..sched.ule import UleRunqueue
-
-            runqueue = UleRunqueue(num_cores=cfg.num_cores)
-        elif cfg.scheduler_queue == "bsd":
-            runqueue = None  # Scheduler builds the default 4.4BSD MLFQ
-        else:
-            raise ConfigurationError(
-                f"unknown scheduler_queue {cfg.scheduler_queue!r} (bsd|ule)"
-            )
-        self.scheduler = Scheduler(
-            self.simview,
-            self.chip,
-            quantum=cfg.quantum,
-            context_switch_cost=cfg.context_switch_cost,
-            injector=self.injector,
-            runqueue=runqueue,
-        )
-        self.control = DimetrodonControl(self.scheduler, rng=self.rng.stream("inject"))
-
-        meter_rng = self.rng.stream("clamp") if cfg.clamp_gain_error > 0 else None
-        self.powermeter = PowerMeter(
-            clamp_gain_error=cfg.clamp_gain_error, rng=meter_rng
-        )
-        core_nodes = list(range(cfg.num_cores))
-        if cfg.noisy_sensors:
-            self.sensors = SensorBank.coretemp(core_nodes, self.rng.stream("sensors"))
-        else:
-            self.sensors = SensorBank.ideal(core_nodes)
-        self.templog = TemperatureLog(
-            self.simview,
-            lambda: self.sensors.read(fleet._node_temps(index)),
-            period=cfg.temp_sample_period,
-            num_cores=cfg.num_cores,
-        )
-
-        #: Recorded-but-unintegrated physics pieces, in time order.
-        self.pending: Deque[_PendingSegment] = deque()
+        #: Recorded-but-unintegrated physics pieces, in time order, as
+        #: ``(start, duration, coefficients)``.
+        self.pending: Deque[Tuple[float, float, PowerCoefficients]] = deque()
         #: End of the last recorded piece (= this node's last event).
         self.last_physics_time = fleet.sim.now
-        #: This node's health monitor once the fleet attaches one.
-        self.health: Optional[HealthMonitor] = None
-
-        self.scheduler.start()
-
-    # ------------------------------------------------------------------
-    # Convenience measurements (the Machine API, per node)
-    # ------------------------------------------------------------------
-    @property
-    def core_temps(self) -> np.ndarray:
-        """Current true per-core temperatures, °C (drains physics)."""
-        return self.fleet._node_temps(self.index)[: self.config.num_cores].copy()
-
-    @property
-    def idle_mean_temp(self) -> float:
-        """Mean per-core idle (baseline) temperature, °C."""
-        return float(np.mean(self.fleet.idle_core_temps))
-
-    def mean_core_temp_over_window(self, window: Optional[float] = None) -> float:
-        """Mean core temperature over the trailing window (default: the
-        config's measurement window)."""
-        return self.templog.mean_over_window(window or self.config.measure_window)
-
-    def temp_rise_over_idle(self, window: Optional[float] = None) -> float:
-        """Mean core temperature rise over the idle baseline, °C."""
-        return self.mean_core_temp_over_window(window) - self.idle_mean_temp
-
-    def total_work_done(self) -> float:
-        """Total useful work completed by this node's threads, CPU-s."""
-        return sum(t.stats.work_done for t in self.scheduler.threads)
-
-    def energy(self, start: float = -np.inf, end: float = np.inf) -> float:
-        """Package energy over [start, end], J (drains physics)."""
-        self.fleet._drain()
-        return self.powermeter.energy(start, end)
+        super().__init__(
+            config,
+            _NodeSimView(fleet, index, fleet.sim),
+            lambda: fleet._node_temps(index),
+            fleet.idle_core_temps,
+            idle_mode=idle_mode,
+            co_schedule_smt=co_schedule_smt,
+            index=index,
+        )
 
 
 class FleetMachine:
@@ -254,8 +152,6 @@ class FleetMachine:
         idle_mode: IdleMode = IdleMode.HALT,
         co_schedule_smt: bool = False,
     ):
-        if machines < 1:
-            raise ConfigurationError("a fleet needs at least one machine")
         self.config = config or ExperimentConfig()
         cfg = self.config
         self.num_machines = int(machines)
@@ -274,24 +170,16 @@ class FleetMachine:
         # --- idle-equilibrium initial condition, computed once --------
         # All chips are identical and idle at t=0, so one settle seeds
         # every row of the fleet state with the temperatures a
-        # standalone machine's own settle would produce (bitwise: same
-        # network parameters, same iteration).  The settle must see the
-        # chip *long-idle* — Machine settles before its scheduler's
-        # ``start()`` re-marks cores naturally idle — so it runs on a
-        # dedicated probe chip, not a node's.
-        probe_chip = Chip(
-            cfg.power,
-            num_cores=cfg.num_cores,
-            smt=cfg.smt,
-            cstate_params=cfg.cstates,
-            c1e_enabled=cfg.c1e_enabled,
+        # standalone machine starts from (bitwise: the same helper).
+        idle = idle_equilibrium(cfg, self.network)
+        self.integrator = FleetThermalIntegrator(
+            self.network,
+            machines,
+            initial_temps=idle,
+            max_substep=cfg.thermal.max_substep,
         )
-        for core in probe_chip.cores:
-            core.set_idle(-1e6)
-        probe = ThermalIntegrator(self.network, max_substep=cfg.thermal.max_substep)
-        _, idle_power_fn = probe_chip.power_function(time=0.0)
-        probe.settle(idle_power_fn)
-
+        #: Per-core idle temperatures — the baseline, °C (all nodes).
+        self.idle_core_temps = idle[: cfg.num_cores].copy()
         self.nodes: List[FleetNode] = [
             FleetNode(
                 self,
@@ -302,14 +190,6 @@ class FleetMachine:
             )
             for j in range(machines)
         ]
-        self.integrator = FleetThermalIntegrator(
-            self.network,
-            machines,
-            initial_temps=probe.temps,
-            max_substep=cfg.thermal.max_substep,
-        )
-        #: Per-core idle temperatures — the baseline, °C (all nodes).
-        self.idle_core_temps = probe.temps[: cfg.num_cores].copy()
 
         #: Cohort-width -> last coefficient stack, for epoch-multiplexed
         #: reuse (aligned fleets rebuild nothing in steady state).
@@ -323,34 +203,14 @@ class FleetMachine:
     def attach_health(self, params: Optional[HealthParams] = None) -> FleetHealth:
         """Attach one :class:`~repro.health.HealthMonitor` per node.
 
-        Each monitor samples through its own quantised (optionally
-        noisy) :class:`~repro.thermal.sensors.SensorBank` at the
-        params' period, with rise thresholds pinned to this rack's idle
-        baseline.  Noisy monitors draw from the node's dedicated
-        ``"health-sensors"`` RNG stream, so monitor reads never perturb
-        the temperature log's noise sequence and identical seeds
-        reproduce identical alert streams.  Monitors run through each
-        node's sim view, so a sample sees physics integrated up to the
-        sampling instant.
+        Each node builds its monitor exactly as a standalone machine
+        does (:meth:`~repro.experiments.machine.ServerStack.attach_health`),
+        with rise thresholds pinned to this rack's idle baseline.
+        Monitors run through each node's sim view, so a sample sees
+        physics integrated up to the sampling instant.
         """
-        if self.health is not None:
-            raise ConfigurationError("fleet already has health monitors attached")
-        params = params if params is not None else HealthParams()
-        thresholds = params.thresholds(self.idle_mean_temp)
-        core_nodes = list(range(self.config.num_cores))
-        monitors = []
-        for node in self.nodes:
-            rng = node.rng.stream("health-sensors") if params.noisy else None
-            monitor = HealthMonitor(
-                node.simview,
-                params.sensor_bank(core_nodes, rng),
-                lambda j=node.index: self._node_temps(j),
-                thresholds=thresholds,
-                period=params.period,
-                machine=node.index,
-            )
-            node.health = monitor
-            monitors.append(monitor)
+        params = params or HealthParams()
+        monitors = [node.attach_health(params) for node in self.nodes]
         self.health = FleetHealth(
             monitors, params=params, idle_mean=self.idle_mean_temp
         )
@@ -360,31 +220,20 @@ class FleetMachine:
     # Physics co-simulation
     # ------------------------------------------------------------------
     def _close_gap(self, index: int) -> None:
-        """Record node ``index``'s physics from its last event to now.
-
-        Mirrors ``Machine._advance_physics`` piece for piece — split at
-        the node's own C-state promotion instants, skip empty pieces,
-        evaluate coefficients at piece midpoints, account residency —
-        but queues the segments instead of integrating them.
-        """
+        """Record node ``index``'s physics from its last event to now:
+        the same pieces ``Machine._advance_physics`` integrates
+        (:meth:`~repro.experiments.machine.ServerStack.power_pieces`),
+        queued instead of integrated."""
         node = self.nodes[index]
         now = self.sim.now
         t0 = node.last_physics_time
         if now <= t0:
             return
-        chip = node.chip
         pending = node.pending
-        edges = [t0] + chip.cstate_breakpoints(t0, now) + [now]
-        recorded = 0
-        for a, b in zip(edges, edges[1:]):
-            if b <= a:
-                continue
-            cstates, coefficients = chip.power_segment(0.5 * (a + b))
-            chip.record_residency(cstates, b - a)
-            pending.append(_PendingSegment(a, b - a, coefficients))
-            recorded += 1
+        recorded = len(pending)
+        pending.extend(node.power_pieces(t0, now))
         node.last_physics_time = now
-        self._metric_segments.inc(recorded)
+        self._metric_segments.inc(len(pending) - recorded)
 
     def _cohort_stack(
         self, columns: Sequence[PowerCoefficients]
@@ -418,15 +267,13 @@ class FleetMachine:
             return
         integrator = self.integrator
         while active:
-            segments = [nodes[j].pending.popleft() for j in active]
-            stack = self._cohort_stack([s.coefficients for s in segments])
+            heads = [nodes[j].pending.popleft() for j in active]
+            starts, durations, columns = zip(*heads)
             energies = integrator.advance_machines(
-                active, [s.duration for s in segments], stack
+                active, durations, self._cohort_stack(columns)
             )
-            for j, segment, energy in zip(active, segments, energies):
-                nodes[j].powermeter.record_segment(
-                    segment.start, segment.duration, energy / segment.duration
-                )
+            for j, start, duration, energy in zip(active, starts, durations, energies):
+                nodes[j].powermeter.record_segment(start, duration, energy / duration)
             active = [j for j in active if nodes[j].pending]
         self._metric_drains.inc()
 
@@ -474,8 +321,7 @@ class FleetMachine:
 
     def total_energy(self, start: float = -np.inf, end: float = np.inf) -> float:
         """Aggregate package energy over [start, end], J."""
-        self._drain()
-        return float(sum(node.powermeter.energy(start, end) for node in self.nodes))
+        return float(sum(node.energy(start, end) for node in self.nodes))
 
     def total_work_done(self) -> float:
         """Total useful work completed across the fleet, CPU-seconds."""

@@ -187,7 +187,7 @@ class MigrationPolicy:
 
     def _step(self) -> None:
         temps = sampled_machine_temps(self.fleet)
-        idle = float(np.mean(self.fleet.idle_core_temps))
+        idle = self.fleet.idle_mean_temp
         hot_order = np.argsort(-temps, kind="stable")
         migrated_any = False
         for source in hot_order:
@@ -229,7 +229,7 @@ class MigrationPolicy:
         # the target's physics gap closes before its queues change and
         # a blocked worker wakes — even on a machine that was fully
         # idle mid-substep.
-        self.fleet.nodes[target].simview.schedule(
+        self.fleet.nodes[target].sim.schedule(
             self.cost_model.transfer_latency,
             self.servers[target].accept_migrated,
             request,

@@ -55,7 +55,7 @@ def sampled_machine_temps(fleet: FleetMachine) -> np.ndarray:
     idle baseline — the value its first sample would report.
     Reading is side-effect free: no gap closing, no physics drain.
     """
-    idle = float(np.mean(fleet.idle_core_temps))
+    idle = fleet.idle_mean_temp
     temps = np.empty(fleet.num_machines)
     for j, node in enumerate(fleet.nodes):
         sample = node.templog.latest()

@@ -154,7 +154,7 @@ def build_policy(
             fleet, servers, rate=rate, rng=rng, strategy="coolest", arrivals=arrivals
         )
     elif name == "threshold":
-        threshold = float(np.mean(fleet.idle_core_temps)) + DEFAULT_THRESHOLD_RISE
+        threshold = fleet.idle_mean_temp + DEFAULT_THRESHOLD_RISE
         balancer = ThermalBalancer(
             fleet,
             servers,

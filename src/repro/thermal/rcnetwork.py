@@ -38,8 +38,9 @@ The integrator has two equivalent paths:
   Python power callback re-evaluated per substep plus a
   ``steady_state`` solve.
 - :meth:`ThermalIntegrator.advance_coefficients` — the fused fast
-  path: per substep one gemv pair plus one vectorized exponential into
-  preallocated buffers, no allocation and no per-core Python work.
+  path (:func:`fused_substeps`): per substep one gemv plus one
+  vectorized exponential into preallocated buffers, no allocation and
+  no per-core Python work.
 
 :class:`FleetThermalIntegrator` generalizes the fused path to ``N``
 independent copies of one network (a rack of identical servers): the
@@ -51,7 +52,7 @@ interval, and so its substep length, differs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -242,6 +243,63 @@ class AdvanceResult:
     average_power: float
 
 
+def substep_buffers(nodes: int, *width: int) -> Tuple[np.ndarray, ...]:
+    """Work buffers for the fused substep loops: two stacked ``[T; P; 1]``
+    state blocks of shape ``(2·nodes+1, *width)`` that the loop
+    ping-pongs between, and a ``(nodes, *width)`` power accumulator.
+    The bottom row of each state block is the constant 1.0 the fused
+    kernel's ambient column multiplies; it is written here once and
+    never touched by the loops."""
+    state_a, state_b = (np.zeros((2 * nodes + 1, *width)) for _ in range(2))
+    state_a[2 * nodes] = state_b[2 * nodes] = 1.0
+    return state_a, state_b, np.empty((nodes, *width))
+
+
+def fused_substeps(
+    fused: np.ndarray,
+    n_steps: int,
+    temps: np.ndarray,
+    base: np.ndarray,
+    terms: Tuple[float, float, np.ndarray],
+    buffers: Tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> Tuple[np.ndarray, float]:
+    """The fused single-chip substep loop: ``n_steps`` substeps of the
+    ``(nodes, 2·nodes+1)`` kernel ``fused`` from ``temps`` (°C) under
+    ``P = base + scaled_coef * exp(min(T * inv_slope, arg_cap))``,
+    ``terms`` being :meth:`~repro.cpu.power.PowerCoefficients.fused_terms`.
+
+    ``buffers`` is ``(state, other, acc)``: two contiguous ``[T, P, 1]``
+    vectors (last entry 1.0) the loop ping-pongs between, one gemv per
+    substep, and a per-node power accumulator.  Returns a view of the
+    end temperatures inside a buffer (copy before the next call) and
+    the power summed over substeps (W; times the step length, J).
+
+    The single-machine integrator and a fleet's one-machine cohort both
+    run this one loop, which makes a fleet of one bit-identical to a
+    standalone machine.  It touches no telemetry.
+    """
+    inv_slope, arg_cap, scaled_coef = terms
+    state, other, acc = buffers
+    n = temps.shape[0]
+    s_temps, s_power = state[:n], state[n : 2 * n]
+    o_temps, o_power = other[:n], other[n : 2 * n]
+    s_temps[:] = temps
+    acc.fill(0.0)
+    multiply, minimum, add, vexp, dot = np.multiply, np.minimum, np.add, np.exp, np.dot
+    for _ in range(n_steps):
+        # P = base + scaled_coef * exp(min(T / slope, capped arg))
+        multiply(s_temps, inv_slope, out=s_power)
+        minimum(s_power, arg_cap, out=s_power)
+        vexp(s_power, out=s_power)
+        multiply(s_power, scaled_coef, out=s_power)
+        add(s_power, base, out=s_power)
+        add(acc, s_power, out=acc)
+        dot(fused, state, out=o_temps)
+        state, other = other, state
+        s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
+    return s_temps, float(acc.sum())
+
+
 class ThermalIntegrator:
     """Advances a :class:`ThermalNetwork` through time.
 
@@ -275,17 +333,19 @@ class ThermalIntegrator:
             self.temps = np.array(initial_temps, dtype=float)
             if self.temps.shape != (network.num_nodes,):
                 raise ConfigurationError("initial temperature vector has wrong length")
-        # Preallocated work vectors for the fused path.  The stacked
-        # state buffers hold [T, P, 1]; one substep writes P into the
-        # middle block and new temperatures into the partner buffer's
-        # head block via a single gemv, with zero allocations.
-        n = network.num_nodes
-        self._power_buffer = np.empty(n)
-        self._energy_buffer = np.empty(n)
-        self._state_a = np.zeros(2 * n + 1)
-        self._state_b = np.zeros(2 * n + 1)
-        self._state_a[2 * n] = 1.0
-        self._state_b[2 * n] = 1.0
+        # Preallocated work vectors for the fused path.
+        self._power_buffer = np.empty(network.num_nodes)
+        self._buffers = substep_buffers(network.num_nodes)
+
+    def _substeps(self, duration: float) -> Tuple[int, float]:
+        """``duration`` cut into ``ceil(duration / max_substep)`` equal
+        substeps, as ``(count, length)``; counts the advance."""
+        if duration < 0:
+            raise ConfigurationError(f"cannot integrate a negative duration {duration}")
+        n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
+        self._metric_advances.inc()
+        self._metric_substeps.inc(n_steps)
+        return n_steps, duration / n_steps
 
     def advance(self, duration: float, power_fn: PowerFunction) -> AdvanceResult:
         """Integrate forward by ``duration`` seconds.
@@ -295,19 +355,13 @@ class ThermalIntegrator:
         Returns the energy delivered and average power, which the power
         meter uses for exact energy accounting.
         """
-        if duration < 0:
-            raise ConfigurationError(f"cannot integrate a negative duration {duration}")
         if duration == 0:
             power = np.asarray(power_fn(self.temps), dtype=float)
             return AdvanceResult(energy=0.0, average_power=float(power.sum()))
 
         network = self.network
         energy = 0.0
-        # Use a uniform substep: ceil(duration / max_substep) equal pieces.
-        n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
-        h = duration / n_steps
-        self._metric_advances.inc()
-        self._metric_substeps.inc(n_steps)
+        n_steps, h = self._substeps(duration)
         propagator = network.propagator(h)
         temps = self.temps
         for _ in range(n_steps):
@@ -342,50 +396,27 @@ class ThermalIntegrator:
             average (W); :attr:`temps` holds the end-of-interval node
             temperatures (°C).
 
-        Per substep this costs the folded leakage chain (multiply,
-        clip, exp, multiply, add) plus one gemv of the stacked
-        ``(nodes, 2·nodes+1)`` kernel against the ``[T, P, 1]`` state
-        buffer — no Python per-core loop, no ``steady_state`` solve,
-        no allocation.  Energy is accumulated vectorially per node and
-        reduced once at the end.  Numerically equivalent to
-        :meth:`advance` with the matching power callback (same
-        propagator, algebraically identical update).
+        The substeps run in :func:`fused_substeps`: no Python per-core
+        loop, no ``steady_state`` solve, no allocation.  Numerically
+        equivalent to :meth:`advance` with the matching power callback
+        (same propagator, algebraically identical update).
         """
-        if duration < 0:
-            raise ConfigurationError(f"cannot integrate a negative duration {duration}")
         if duration == 0:
             power = coefficients.evaluate(self.temps, out=self._power_buffer)
             return AdvanceResult(energy=0.0, average_power=float(power.sum()))
 
-        n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
-        h = duration / n_steps
-        self._metric_advances.inc()
-        self._metric_substeps.inc(n_steps)
+        n_steps, h = self._substeps(duration)
         self._metric_fused_advances.inc()
-        fused = self.network.step_kernel(h).fused
-        inv_slope, arg_cap, scaled_coef = coefficients.fused_terms()
-        base = coefficients.base
-        n = self.temps.shape[0]
-        state, other = self._state_a, self._state_b
-        s_temps, s_power = state[:n], state[n : 2 * n]
-        o_temps, o_power = other[:n], other[n : 2 * n]
-        s_temps[:] = self.temps
-        acc = self._energy_buffer
-        acc.fill(0.0)
-        multiply, minimum, add, vexp, dot = np.multiply, np.minimum, np.add, np.exp, np.dot
-        for _ in range(n_steps):
-            # P = base + scaled_coef * exp(min(T / slope, capped arg))
-            multiply(s_temps, inv_slope, out=s_power)
-            minimum(s_power, arg_cap, out=s_power)
-            vexp(s_power, out=s_power)
-            multiply(s_power, scaled_coef, out=s_power)
-            add(s_power, base, out=s_power)
-            add(acc, s_power, out=acc)
-            dot(fused, state, out=o_temps)
-            state, other = other, state
-            s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
-        self.temps = s_temps.copy()
-        energy = float(acc.sum()) * h
+        temps, power_sum = fused_substeps(
+            self.network.step_kernel(h).fused,
+            n_steps,
+            self.temps,
+            coefficients.base,
+            coefficients.fused_terms(),
+            self._buffers,
+        )
+        self.temps = temps.copy()
+        energy = power_sum * h
         return AdvanceResult(energy=energy, average_power=energy / duration)
 
     def settle(
@@ -448,10 +479,10 @@ class FleetThermalIntegrator:
 
     Equivalence guarantees, relied on by the fleet tests:
 
-    - a cohort of one machine (``K = 1``) runs the *identical*
-      operation sequence as :meth:`ThermalIntegrator.advance_coefficients`
-      — 1-D buffers, same ufunc chain, same kernel, same gemv — so a
-      fleet of one machine reproduces a standalone machine bit for bit;
+    - a cohort of one machine (``K = 1``) runs :func:`fused_substeps`,
+      the same function :meth:`ThermalIntegrator.advance_coefficients`
+      runs, with the same kernel, so a fleet of one machine reproduces
+      a standalone machine bit for bit;
     - for ``K > 1`` the cohort accumulates in a different order than K
       gemvs, so per-substep results agree to float rounding (not
       bitwise); over any simulated horizon the accumulated difference
@@ -501,35 +532,15 @@ class FleetThermalIntegrator:
         self._metric_substeps = scope.counter("substeps")
         self._metric_batched_advances = scope.counter("batched_advances")
         self._metric_advance_wall = scope.timer("advance_wall")
-        # Cohort scratch per width K (widths repeat heavily, so this is
-        # a handful of entries): two stacked-state buffers the substep
-        # loop ping-pongs between, and the energy accumulator.  The
-        # bottom row of each state block is the constant 1.0 the fused
-        # kernel's ambient column multiplies; it is written once and
-        # never touched by the substep loop.
+        # substep_buffers per cohort width K (widths repeat heavily, so
+        # this is a handful of entries).
         self._scratch: dict = {}
-        # 1-D buffers for the K=1 bit-match path, mirroring
-        # ThermalIntegrator's layout exactly.
-        self._vec_state_a = np.zeros(2 * n + 1)
-        self._vec_state_b = np.zeros(2 * n + 1)
-        self._vec_state_a[2 * n] = 1.0
-        self._vec_state_b[2 * n] = 1.0
-        self._vec_energy = np.empty(n)
 
     # ------------------------------------------------------------------
-    def machine_temps(self, machine: int) -> np.ndarray:
-        """Copy of one machine's node temperatures, shape ``(nodes,)`` °C."""
-        return self.temps[machine].copy()
-
     def _cohort_scratch(self, width: int):
         buffers = self._scratch.get(width)
         if buffers is None:
-            n = self.network.num_nodes
-            state_a = np.zeros((2 * n + 1, width))
-            state_b = np.zeros((2 * n + 1, width))
-            state_a[2 * n] = 1.0
-            state_b[2 * n] = 1.0
-            buffers = (state_a, state_b, np.empty((n, width)))
+            buffers = substep_buffers(self.network.num_nodes, width)
             self._scratch[width] = buffers
         return buffers
 
@@ -583,12 +594,20 @@ class FleetThermalIntegrator:
             self._metric_substeps.inc(int(n_steps.sum()))
             self._metric_batched_advances.inc()
             if count == 1:
+                # A cohort of one runs the single-chip loop on the
+                # machine's own coefficient set.
+                machine, source = machines[0], coefficients.sources[0]
                 h = float(steps[0])
-                fused = self.network.step_kernel(h).fused
-                energy = self._advance_single(
-                    machines[0], int(n_steps[0]), fused, coefficients
+                temps, power_sum = fused_substeps(
+                    self.network.step_kernel(h).fused,
+                    int(n_steps[0]),
+                    self.temps[machine],
+                    source.base,
+                    source.fused_terms(),
+                    tuple(b[:, 0] for b in self._cohort_scratch(1)),
                 )
-                return np.array([energy * h])
+                self.temps[machine] = temps
+                return np.array([power_sum * h])
             return self._advance_cohort(machines, n_steps, steps, coefficients)
 
     def _advance_cohort(self, machines, n_steps, steps, coefficients) -> np.ndarray:
@@ -659,36 +678,3 @@ class FleetThermalIntegrator:
         energies = np.empty(len(counts))
         energies[order] = acc.sum(axis=0) * steps
         return energies
-
-    def _advance_single(self, machine: int, n_steps: int, fused, coefficients) -> float:
-        """The K=1 path: bitwise the single-chip fused substep loop."""
-        n = self.network.num_nodes
-        base = coefficients.base[:, 0]
-        scaled_coef = coefficients.scaled_coef[:, 0]
-        inv_slope = coefficients.inv_slope
-        arg_cap = coefficients.arg_cap
-        state, other = self._vec_state_a, self._vec_state_b
-        s_temps, s_power = state[:n], state[n : 2 * n]
-        o_temps, o_power = other[:n], other[n : 2 * n]
-        s_temps[:] = self.temps[machine]
-        acc = self._vec_energy
-        acc.fill(0.0)
-        multiply, minimum, add, vexp, dot = (
-            np.multiply,
-            np.minimum,
-            np.add,
-            np.exp,
-            np.dot,
-        )
-        for _ in range(n_steps):
-            multiply(s_temps, inv_slope, out=s_power)
-            minimum(s_power, arg_cap, out=s_power)
-            vexp(s_power, out=s_power)
-            multiply(s_power, scaled_coef, out=s_power)
-            add(s_power, base, out=s_power)
-            add(acc, s_power, out=acc)
-            dot(fused, state, out=o_temps)
-            state, other = other, state
-            s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
-        self.temps[machine] = s_temps
-        return float(acc.sum())

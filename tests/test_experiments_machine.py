@@ -122,3 +122,41 @@ def test_now_property_tracks_clock():
     assert machine.now == pytest.approx(2.5)
     machine.run(1.0)
     assert machine.now == pytest.approx(3.5)
+
+
+@pytest.fixture(scope="module")
+def machine_and_node():
+    """A run Machine and a run FleetNode, for the shared readouts."""
+    from repro.fleet import FleetMachine
+
+    cfg = fast_config()
+    machine = Machine(cfg)
+    fleet = FleetMachine(cfg, machines=2)
+    for server in (machine, *fleet.nodes):
+        server.scheduler.spawn(CpuBurn())
+    machine.run(3.0)
+    fleet.run(3.0)
+    return machine, fleet.nodes[1]
+
+
+@pytest.mark.parametrize("window", [0.0, -1.0])
+def test_window_readouts_reject_non_positive_windows(machine_and_node, window):
+    """A zero or negative averaging window is an error on both server
+    kinds, not a silent fall-back to the config's 30 s default."""
+    from repro.errors import ConfigurationError
+
+    for server in machine_and_node:
+        with pytest.raises(ConfigurationError, match="window"):
+            server.mean_core_temp_over_window(window)
+        with pytest.raises(ConfigurationError, match="window"):
+            server.temp_rise_over_idle(window)
+
+
+def test_window_readouts_default_only_for_none(machine_and_node):
+    for server in machine_and_node:
+        default = server.mean_core_temp_over_window()
+        assert default == server.mean_core_temp_over_window(server.config.measure_window)
+        assert server.mean_core_temp_over_window(0.5) != default
+        assert server.temp_rise_over_idle(0.5) == pytest.approx(
+            server.mean_core_temp_over_window(0.5) - server.idle_mean_temp
+        )

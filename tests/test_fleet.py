@@ -16,6 +16,7 @@ from repro.fleet import (
     fleet_experiment,
 )
 from repro.fleet.scheduling import MigrationPolicy, build_policy
+from repro.health import HealthParams
 from repro.sim.rng import RngRegistry
 from repro.telemetry.registry import isolated
 from repro.workloads import CpuBurn
@@ -31,17 +32,31 @@ def _drive_burn(machine_like, *, threads=2, p=0.5, quantum=0.010):
 # ======================================================================
 # Equivalence with the standalone machine
 # ======================================================================
-def test_fleet_of_one_bit_matches_standalone():
+@pytest.mark.parametrize("queue", ["bsd", "ule"])
+def test_fleet_of_one_bit_matches_standalone(queue):
     """A 1-machine fleet is the *same* simulation as Machine(config):
-    identical event stream, identical physics pieces, identical floats."""
-    cfg = fast_config(0)
+    identical event stream, identical physics pieces, identical floats,
+    identical health-monitor samples and alerts — under either
+    runqueue."""
+    cfg = fast_config(0).scaled(scheduler_queue=queue)
+    # Low, noisy thresholds so the 6 s burn raises and clears alerts.
+    params = HealthParams(
+        warning_rise=0.5, critical_rise=1.5, hysteresis=0.5, period=0.25, noisy=True
+    )
+
+    def record(monitor):
+        samples = []
+        monitor.add_sample_listener(lambda *sample: samples.append(sample))
+        return samples
 
     solo = Machine(cfg)
+    solo_samples = record(solo.attach_health(params))
     _drive_burn(solo)
     solo.run(6.0)
 
     fleet = FleetMachine(cfg, machines=1)
     node = fleet.nodes[0]
+    node_samples = record(fleet.attach_health(params).monitors[0])
     _drive_burn(node)
     fleet.run(6.0)
 
@@ -51,6 +66,12 @@ def test_fleet_of_one_bit_matches_standalone():
     assert np.array_equal(solo.idle_core_temps, fleet.idle_core_temps)
     assert solo.powermeter.energy(0.0, 6.0) == node.energy(0.0, 6.0)
     assert solo.total_work_done() == node.total_work_done()
+    assert node.health is fleet.health.monitors[0]
+    assert len(solo_samples) == 24
+    assert solo_samples == node_samples
+    assert solo.health.events
+    assert solo.health.events == node.health.events
+    assert solo.health.summary() == node.health.summary()
 
 
 def test_fleet_matches_independent_serial_runs():
@@ -288,7 +309,7 @@ def test_idle_machine_accepts_migrated_request_mid_substep():
     # 1 does nothing at all until the hand-off lands at t=2.
     fleet.nodes[0].scheduler.spawn(CpuBurn())
     stray = Request(rid=999, arrival=2.0, service_time=0.2)
-    fleet.nodes[1].simview.schedule(2.0, servers[1].accept_migrated, stray)
+    fleet.nodes[1].sim.schedule(2.0, servers[1].accept_migrated, stray)
     fleet.run(5.0)
 
     assert stray.completed is not None
@@ -317,7 +338,7 @@ def test_fleet_migration_telemetry_is_additive():
             for node in fleet.nodes
         ]
         for k in range(20):
-            fleet.nodes[0].simview.schedule(0.01 * k, servers[0].submit_request)
+            fleet.nodes[0].sim.schedule(0.01 * k, servers[0].submit_request)
         policy = MigrationPolicy(fleet, servers, period=0.5, min_delta=0.05)
         fleet.run(6.0)
         policy.stop()

@@ -49,7 +49,7 @@ def _flooded_rack(
     fleet = FleetMachine(cfg, machines=machines)
     servers = _servers(fleet, service_mean=0.5, num_workers=1)
     for k in range(requests):
-        fleet.nodes[0].simview.schedule(0.01 * k, servers[0].submit_request)
+        fleet.nodes[0].sim.schedule(0.01 * k, servers[0].submit_request)
     policy_kwargs.setdefault("period", 0.5)
     policy_kwargs.setdefault("min_delta", 0.05)
     policy = policy_cls(fleet, servers, **policy_kwargs)

@@ -120,9 +120,13 @@ def test_machine_builds_with_ule():
 
 def test_unknown_queue_rejected():
     from repro.errors import ConfigurationError
+    from repro.fleet import FleetMachine
 
-    with pytest.raises(ConfigurationError):
-        Machine(fast_config().scaled(scheduler_queue="cfs"))
+    config = fast_config().scaled(scheduler_queue="cfs")
+    with pytest.raises(ConfigurationError, match="unknown scheduler_queue"):
+        Machine(config)
+    with pytest.raises(ConfigurationError, match="unknown scheduler_queue"):
+        FleetMachine(config, machines=2)
 
 
 def test_ule_runs_parallel_threads():

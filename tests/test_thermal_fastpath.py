@@ -6,8 +6,9 @@ The fast path has three layers, each pinned against its scalar oracle:
   (≤1e-12 W per node over randomized chip states);
 - integration: :meth:`ThermalIntegrator.advance_coefficients` vs
   :meth:`ThermalIntegrator.advance` (≤1e-9 °C over long intervals);
-- simulation: ``Machine(fast_physics=True)`` vs the scalar machine over
-  a fig2-style 60 s run (≤1e-9 °C on every logged sample).
+- simulation: ``Machine`` vs :class:`ScalarMachine`, the same machine
+  integrating through the scalar oracle, over a fig2-style 60 s run
+  (≤1e-9 °C on every logged sample).
 
 Plus the supporting machinery: the eigenbasis step kernels, the chip's
 segment-reuse epoch logic, and its telemetry counters.
@@ -222,20 +223,37 @@ def test_tcc_affects_coefficients():
 # ----------------------------------------------------------------------
 # End to end
 # ----------------------------------------------------------------------
+class ScalarMachine(Machine):
+    """The end-to-end oracle: a :class:`Machine` whose physics goes
+    through the scalar power callback and
+    :meth:`ThermalIntegrator.advance` instead of the fused path."""
+
+    def _advance_physics(self, t0: float, t1: float) -> None:
+        chip = self.chip
+        edges = [t0] + chip.cstate_breakpoints(t0, t1) + [t1]
+        for a, b in zip(edges, edges[1:]):
+            if b <= a:
+                continue
+            cstates, power_fn = chip.power_function(time=0.5 * (a + b))
+            result = self.integrator.advance(b - a, power_fn)
+            chip.record_residency(cstates, b - a)
+            self.powermeter.record_segment(a, b - a, result.average_power)
+
+
 def test_end_to_end_fast_physics_matches_scalar():
     """A fig2-style 60 s run: the default (fused, segment-reusing)
     machine reproduces the scalar-oracle machine's logged temperatures
     to 1e-9 °C and its energy accounting to 1e-9 relative."""
 
-    def build(fast: bool) -> Machine:
-        machine = Machine(fast_config(seed=0), fast_physics=fast)
+    def build(cls) -> Machine:
+        machine = cls(fast_config(seed=0))
         machine.control.set_global_policy(0.5, 0.100)
         for _ in range(4):
             machine.scheduler.spawn(CpuBurn())
         return machine
 
-    scalar = build(False)
-    fused = build(True)
+    scalar = build(ScalarMachine)
+    fused = build(Machine)
     scalar.run(60.0)
     fused.run(60.0)
 
