@@ -92,7 +92,7 @@ def run_benchmark(
     """
     chip, network, temps0 = _build_testbed(num_cores)
     _, power_fn = chip.power_function(time=0.0)
-    _, coefficients = chip.power_segment(0.0)
+    _, coefficients, _ = chip.power_segment(0.0)
     n_substeps = max(1, int(np.ceil(duration / max_substep - 1e-12)))
 
     # --- equivalence ---------------------------------------------------
@@ -169,7 +169,7 @@ def _fleet_testbed(num_machines: int, num_cores: int = 4):
                 core.set_running(object(), 1.0 - 0.01 * (m % 5), 0.0)
             else:
                 core.set_idle(-100.0)
-        _, coefficients = chip.power_segment(0.0)
+        _, coefficients, _ = chip.power_segment(0.0)
         columns.append(coefficients)
     temps0 = np.full(network.num_nodes, 55.0)
     return network, columns, temps0

@@ -11,15 +11,22 @@ the power injected into every thermal node).  A core is either
   idle.
 
 Because C-state promotion makes idle power *time-varying within an
-event-free interval*, the chip exposes :meth:`cstate_breakpoints` so
-the machine can split its thermal integration at promotion instants.
+event-free interval*, every power segment carries its validity
+horizon (the next promotion instant), so the machine can split its
+thermal integration there.
+
+A core's power changes only when the scheduler starts or stops a
+context, or when an idle core passes its promotion instant.  Cores
+therefore keep their busy mask, aggregate activity and absolute
+promotion instant up to date on those transitions, and nothing on the
+hot path rescans contexts.
 
 Power is exposed two ways.  The simulation hot path calls
-:meth:`Chip.power_segment`, which returns a cached segment-constant
+:meth:`Chip.power_segment`, which returns a segment-constant
 :class:`~repro.cpu.power.PowerCoefficients` decomposition for the
-fused integrator and reuses it — multiplexed on :attr:`Chip.state_epoch`
-and bounded by the next promotion instant — across event gaps where no
-power-relevant state changes.  :meth:`Chip.power_function` /
+fused integrator.  It reuses the last segment across event gaps where
+no power-relevant state changes, and hands out one memoised object
+per recurring power state otherwise.  :meth:`Chip.power_function` /
 :meth:`Chip.power_vector` are the scalar per-core reference the fast
 path is validated against.
 """
@@ -28,7 +35,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,6 +85,21 @@ class Core:
     #: folds these in so power-coefficient segments know when to expire.
     epoch: int = 0
 
+    # The fields below are derived from the context lists and kept
+    # current by the transitions, so queries never rescan contexts.
+    #: Per-context busy mask: a thread is attached or activity is > 0.
+    context_busy: List[bool] = field(init=False)
+    #: Number of busy contexts.
+    busy_contexts: int = field(init=False)
+    #: True while any hardware context is executing.
+    running: bool = field(init=False)
+    #: Aggregate switching activity of all contexts; SMT co-residency
+    #: scaling is applied by :meth:`Chip.core_activity`.
+    activity: float = field(init=False)
+    #: Absolute C1E promotion instant, ``idle_since + idle_threshold``
+    #: (None while running).
+    promotion: Optional[float] = field(init=False)
+
     def __post_init__(self) -> None:
         if self.smt < 1:
             raise ConfigurationError("smt must be >= 1")
@@ -84,32 +107,26 @@ class Core:
             self.context_threads = [None] * self.smt
             self.context_activity = [0.0] * self.smt
             self.context_hinted = [False] * self.smt
+        self.context_busy = [
+            t is not None or a > 0.0
+            for t, a in zip(self.context_threads, self.context_activity)
+        ]
+        self.busy_contexts = sum(self.context_busy)
+        self._update_derived()
+
+    def _update_derived(self) -> None:
+        self.running = self.busy_contexts > 0
+        self.activity = sum(self.context_activity)
+        self.promotion = None if self.running else self.idle_since + self.idle_threshold
+
+    def _set_busy(self, context: int, busy: bool) -> None:
+        if self.context_busy[context] != busy:
+            self.context_busy[context] = busy
+            self.busy_contexts += 1 if busy else -1
 
     # ------------------------------------------------------------------
     # Context-level state changes
     # ------------------------------------------------------------------
-    @property
-    def running(self) -> bool:
-        """True while any hardware context is executing."""
-        return any(a > 0.0 or t is not None for t, a in zip(self.context_threads, self.context_activity))
-
-    @property
-    def busy_contexts(self) -> int:
-        return sum(
-            1
-            for t, a in zip(self.context_threads, self.context_activity)
-            if t is not None or a > 0.0
-        )
-
-    @property
-    def activity(self) -> float:
-        """Aggregate switching activity of all busy contexts.
-
-        Used by the power model; SMT co-residency scaling is applied by
-        :meth:`Chip.core_activity`.
-        """
-        return sum(self.context_activity)
-
     @property
     def thread(self) -> Optional[object]:
         """The context-0 occupant (single-context compatibility view)."""
@@ -125,7 +142,9 @@ class Core:
         self.context_threads[context] = thread
         self.context_activity[context] = activity
         self.context_hinted[context] = False
+        self._set_busy(context, thread is not None or activity > 0.0)
         self.epoch += 1
+        self._update_derived()
 
     def set_context_idle(self, context: int, now: float, *, hinted: bool = False) -> None:
         """Mark one hardware context idle starting at ``now``.
@@ -139,8 +158,9 @@ class Core:
         self.context_threads[context] = None
         self.context_activity[context] = 0.0
         self.context_hinted[context] = hinted
+        self._set_busy(context, False)
         self.epoch += 1
-        if not self.running:
+        if not self.busy_contexts:
             self.idle_since = now
             params = self.cstate_params
             base = (
@@ -149,6 +169,7 @@ class Core:
                 else params.natural_promotion_threshold
             )
             self.idle_threshold = base + params.c1e_entry_latency
+        self._update_derived()
 
     def _check_context(self, context: int) -> None:
         if not 0 <= context < self.smt:
@@ -180,15 +201,14 @@ class Core:
         mismatched rounding (``time - idle_since`` vs ``idle_since +
         threshold``) would let a stale segment straddle the promotion.
         """
-        if self.running:
+        promotion = self.promotion
+        if promotion is None:
             return CState.C0
-        return CState.C1 if time < self.idle_since + self.idle_threshold else CState.C1E
+        return CState.C1 if time < promotion else CState.C1E
 
     def promotion_time(self) -> Optional[float]:
         """Absolute time this core will be promoted to C1E, if idle."""
-        if self.running:
-            return None
-        return self.idle_since + self.idle_threshold
+        return self.promotion
 
     def wake_latency(self, now: float) -> float:
         """Cost to resume execution if woken at ``now``."""
@@ -197,17 +217,17 @@ class Core:
         return exit_latency(self.cstate_at(now), self.cstate_params)
 
 
-@dataclass
-class _CoefficientSegment:
-    """One cached power-coefficient set and its validity window."""
+#: A power segment as :meth:`Chip.power_segment` returns it: frozen
+#: per-core C-states, their coefficients, and the first promotion
+#: instant after the evaluation time (exclusive upper bound, ``inf``
+#: if none).
+PowerSegment = Tuple[Tuple[CState, ...], PowerCoefficients, float]
 
-    epoch: int
-    #: Evaluation time the segment was built at.
-    time: float
-    #: First promotion instant after ``time`` (exclusive upper bound).
-    valid_until: float
-    cstates: Tuple[CState, ...]
-    coefficients: PowerCoefficients
+#: Memo-key entries of idle cores.  A running core's entry is its
+#: effective activity, which is never negative, so these cannot collide.
+_C1_KEY, _C1E_KEY = -1.0, -2.0
+_IDLE_STATES = {_C1_KEY: CState.C1, _C1E_KEY: CState.C1E}
+_core_epoch = attrgetter("epoch")
 
 
 class Chip:
@@ -243,8 +263,12 @@ class Chip:
         ]
         #: Chip-wide contribution to :attr:`state_epoch` (DVFS/TCC).
         self._epoch = 0
-        #: The most recent power segment (see :meth:`power_segment`).
-        self._segment: Optional[_CoefficientSegment] = None
+        #: The most recent power segment and the state it was built in,
+        #: as ``(state_epoch, built_at, segment)``.
+        self._segment: Optional[Tuple[int, float, PowerSegment]] = None
+        #: Power-state key -> ``(cstates, coefficients)``, valid for the
+        #: current chip-wide settings (see :meth:`power_segment`).
+        self._memo: Dict[Tuple[float, ...], Tuple[Tuple[CState, ...], PowerCoefficients]] = {}
         scope = _metrics_registry().scope("cpu.chip")
         self._metric_segment_rebuilds = scope.counter("power_segments.rebuilds")
         self._metric_segment_reuses = scope.counter("power_segments.reuses")
@@ -264,14 +288,20 @@ class Chip:
         C-states) is unchanged, which is what lets
         :meth:`power_segment` reuse coefficient sets across event gaps.
         """
-        return self._epoch + sum(core.epoch for core in self.cores)
+        return self._epoch + sum(map(_core_epoch, self.cores))
+
+    def _chip_state_changed(self) -> None:
+        """A chip-wide setting changed: every memoised coefficient set
+        is stale."""
+        self._epoch += 1
+        self._memo.clear()
 
     def set_operating_point(self, point: OperatingPoint) -> None:
         """Select a DVFS operating point (chip-wide, like the paper's)."""
         if point not in self.dvfs_table.points:
             raise ConfigurationError(f"unsupported operating point {point}")
         self.operating_point = point
-        self._epoch += 1
+        self._chip_state_changed()
 
     def set_core_operating_point(
         self, core_index: int, point: Optional[OperatingPoint]
@@ -285,7 +315,7 @@ class Chip:
         if point is not None and point not in self.dvfs_table.points:
             raise ConfigurationError(f"unsupported operating point {point}")
         self.cores[core_index].operating_point_override = point
-        self._epoch += 1
+        self._chip_state_changed()
 
     def point_for(self, core: Core) -> OperatingPoint:
         """The operating point currently governing ``core``."""
@@ -294,7 +324,7 @@ class Chip:
     def set_tcc(self, setting: TccSetting) -> None:
         """Program the thermal control circuit duty cycle (chip-wide)."""
         self.tcc = setting
-        self._epoch += 1
+        self._chip_state_changed()
 
     def core_activity(self, core: Core) -> float:
         """Effective switching activity of a core for the power model.
@@ -341,17 +371,6 @@ class Chip:
         if state is CState.C1E and not self.c1e_enabled:
             return CState.C1
         return state
-
-    def cstate_breakpoints(self, t0: float, t1: float) -> List[float]:
-        """Times in (t0, t1) at which any idle core changes C-state."""
-        if not self.c1e_enabled:
-            return []
-        times = []
-        for core in self.cores:
-            promo = core.promotion_time()
-            if promo is not None and t0 < promo < t1:
-                times.append(promo)
-        return sorted(set(times))
 
     def power_vector(
         self, cstates: Sequence[CState], temps: np.ndarray
@@ -417,50 +436,58 @@ class Chip:
             leak_exp_cap=params.leak_exp_cap,
         )
 
-    def next_cstate_change(self, after: float) -> float:
-        """Earliest instant strictly after ``after`` at which any core's
-        effective C-state changes by promotion alone (``inf`` if none).
-        Run/idle transitions are covered by :attr:`state_epoch` instead."""
-        if not self.c1e_enabled:
-            return math.inf
-        horizon = math.inf
-        for core in self.cores:
-            promo = core.promotion_time()
-            if promo is not None and after < promo < horizon:
-                horizon = promo
-        return horizon
+    def power_segment(self, time: float) -> PowerSegment:
+        """Frozen C-states, power coefficients, and validity horizon in
+        effect at ``time``.
 
-    def power_segment(self, time: float) -> Tuple[Tuple[CState, ...], PowerCoefficients]:
-        """Frozen C-states and power coefficients in effect at ``time``.
+        Reuses the previous segment when no power-relevant state
+        changed (same :attr:`state_epoch`) and no promotion instant
+        separates the two evaluation times — the common case between
+        scheduler events.  Otherwise one pass over the cores classifies
+        each core's C-state against its exact promotion instant, finds
+        the next promotion after ``time``, and keys the power state by
+        each core's C-state and effective activity.
 
-        Reuses the previously built coefficient set when no
-        power-relevant state changed (same :attr:`state_epoch`) and no
-        C-state promotion instant separates the two evaluation times —
-        the common case between scheduler events, where the old path
-        rebuilt C-state lists and power closures from scratch.
+        Coefficients are memoised on that key, so a recurring power
+        state hands out the *same* object: its fused terms are computed
+        once and fleet coefficient stacks can match it by identity.
+        Callers treat it as read-only.  The memo is cleared whenever a
+        chip-wide setting changes, which covers everything else the
+        coefficients depend on.  It needs no cap: activities are
+        per-workload constants, so its size is fixed by the workload
+        mix, not by run length.
         """
         epoch = self.state_epoch
-        segment = self._segment
-        if (
-            segment is not None
-            and segment.epoch == epoch
-            and segment.time <= time < segment.valid_until
-        ):
-            self._metric_segment_reuses.inc()
-            return segment.cstates, segment.coefficients
-        cstates = tuple(self.effective_cstate(core, time) for core in self.cores)
-        coefficients = self.power_coefficients(cstates)
-        self._segment = _CoefficientSegment(
-            epoch=epoch,
-            time=time,
-            valid_until=self.next_cstate_change(time),
-            cstates=cstates,
-            coefficients=coefficients,
-        )
+        cached = self._segment
+        if cached is not None:
+            built_epoch, built_at, segment = cached
+            if built_epoch == epoch and built_at <= time < segment[2]:
+                self._metric_segment_reuses.inc()
+                return segment
+        c1e = self.c1e_enabled
+        horizon = math.inf
+        parts = []
+        for core in self.cores:
+            promotion = core.promotion
+            if promotion is None:
+                parts.append(self.core_activity(core))
+            elif c1e and time >= promotion:
+                parts.append(_C1E_KEY)
+            else:
+                parts.append(_C1_KEY)
+                if c1e and promotion < horizon:
+                    horizon = promotion
+        key = tuple(parts)
+        state = self._memo.get(key)
+        if state is None:
+            cstates = tuple(_IDLE_STATES.get(part, CState.C0) for part in key)
+            state = self._memo[key] = (cstates, self.power_coefficients(cstates))
+        segment = (*state, horizon)
+        self._segment = (epoch, time, segment)
         self._metric_segment_rebuilds.inc()
-        return cstates, coefficients
+        return segment
 
     def record_residency(self, cstates: Sequence[CState], duration: float) -> None:
         """Accumulate per-core residency for an integrated piece."""
         for core, state in zip(self.cores, cstates):
-            core.residency.add(state, duration)
+            core.residency.seconds[state.slot] += duration

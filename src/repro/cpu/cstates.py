@@ -34,6 +34,11 @@ class CState(enum.Enum):
     #: Enhanced halt; clocks gated and voltage reduced.
     C1E = "C1E"
 
+    def __init__(self, value: str) -> None:
+        #: Declaration index, so per-state accumulators can be plain
+        #: lists instead of enum-keyed dicts (see ResidencyCounter).
+        self.slot = len(type(self)._member_names_)
+
 
 @dataclass(frozen=True)
 class CStateParams:
@@ -99,29 +104,32 @@ class ResidencyCounter:
     """Accumulates per-state residency for one core.
 
     Drives the §3.3-style energy accounting and lets tests assert that
-    residencies over a run sum to the run length.
+    residencies over a run sum to the run length.  ``seconds`` holds
+    the totals indexed by :attr:`CState.slot`; the chip books each
+    physics piece straight into it
+    (:meth:`repro.cpu.chip.Chip.record_residency`).
     """
 
     def __init__(self) -> None:
-        self._residency: Dict[CState, float] = {state: 0.0 for state in CState}
+        self.seconds: List[float] = [0.0] * len(CState)
 
     def add(self, state: CState, duration: float) -> None:
         if duration < 0:
             raise ValueError(f"negative residency {duration}")
-        self._residency[state] += duration
+        self.seconds[state.slot] += duration
 
     def get(self, state: CState) -> float:
-        return self._residency[state]
+        return self.seconds[state.slot]
 
     def total(self) -> float:
-        return sum(self._residency.values())
+        return sum(self.seconds)
 
     def fractions(self) -> Dict[CState, float]:
         """Residency as fractions of total accounted time."""
         total = self.total()
         if total == 0:
             return {state: 0.0 for state in CState}
-        return {state: value / total for state, value in self._residency.items()}
+        return {state: self.seconds[state.slot] / total for state in CState}
 
     def as_tuples(self) -> List[Tuple[str, float]]:
-        return [(state.value, self._residency[state]) for state in CState]
+        return [(state.value, self.seconds[state.slot]) for state in CState]

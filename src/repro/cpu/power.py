@@ -133,7 +133,8 @@ class PowerCoefficients:
         exp(-ref/slope)``, ``arg_cap = cap + ref/slope``) — one fewer
         array op per substep and the cap still bounds the exponential's
         argument before ``exp`` runs.  Computed once per coefficient
-        set; the chip's segment cache makes that once per power state.
+        set; the chip memoises coefficient sets, so that is once per
+        power state.
         """
         if self._fused is None:
             inv_slope = 1.0 / self.leak_t_slope
@@ -179,11 +180,11 @@ class FleetCoefficients:
 
     The per-machine source objects are kept (``sources``) so a caller
     can cheaply test, via :meth:`matches`, whether a previously built
-    stack is still current: chips multiplex coefficient segments by
-    :attr:`~repro.cpu.chip.Chip.state_epoch`, handing out the *same*
-    ``PowerCoefficients`` object while no power-relevant state changed,
-    so identity over the column tuple means the whole stack can be
-    reused without copying a single float.
+    stack is still current: chips hand out the *same*
+    ``PowerCoefficients`` object for the same power state (memoised
+    per chip, see :meth:`~repro.cpu.chip.Chip.power_segment`), so
+    identity over the column tuple means the whole stack can be reused
+    without copying a single float.
     """
 
     __slots__ = ("base", "scaled_coef", "inv_slope", "arg_cap", "sources")
@@ -239,7 +240,7 @@ class FleetCoefficients:
 
     def matches(self, columns: Sequence[PowerCoefficients]) -> bool:
         """True when this stack was built from exactly these objects
-        (identity per column) — the epoch-multiplexed reuse test."""
+        (identity per column) — the memoised-state reuse test."""
         sources = self.sources
         return len(columns) == len(sources) and all(
             column is source for column, source in zip(columns, sources)

@@ -185,18 +185,20 @@ class ServerStack:
         coefficients)``, split at C-state promotion instants, with each
         piece's C-state residency accounted.
 
-        Coefficients are evaluated at the piece midpoint: a boundary
-        sits exactly on a promotion instant, where float roundoff could
-        misclassify the whole piece.
+        Walks the chip's segment horizons: the segment in effect at a
+        piece's start holds until the next promotion instant after it,
+        which ends the piece (or ``t1`` does).  A piece that starts on
+        a promotion instant sees that core promoted, because C-states
+        are classified against the very float the horizon reports.
         """
         chip = self.chip
-        edges = [t0] + chip.cstate_breakpoints(t0, t1) + [t1]
-        for a, b in zip(edges, edges[1:]):
-            if b <= a:
-                continue
-            cstates, coefficients = chip.power_segment(0.5 * (a + b))
+        a = t0
+        while a < t1:
+            cstates, coefficients, horizon = chip.power_segment(a)
+            b = horizon if horizon < t1 else t1
             chip.record_residency(cstates, b - a)
             yield a, b - a, coefficients
+            a = b
 
     # ------------------------------------------------------------------
     # Convenience measurements

@@ -191,7 +191,7 @@ class FleetMachine:
             for j in range(machines)
         ]
 
-        #: Cohort-width -> last coefficient stack, for epoch-multiplexed
+        #: Cohort-width -> last coefficient stack, for identity-matched
         #: reuse (aligned fleets rebuild nothing in steady state).
         self._stack_cache: Dict[int, FleetCoefficients] = {}
         #: Rack-level health aggregation once :meth:`attach_health` runs.
@@ -240,7 +240,7 @@ class FleetMachine:
     ) -> FleetCoefficients:
         """The node-major coefficient stack for one cohort, reusing the
         previous stack of the same width when every column is the same
-        (epoch-unchanged) coefficient object."""
+        (memoised) coefficient object."""
         width = len(columns)
         cached = self._stack_cache.get(width)
         if cached is not None and cached.matches(columns):

@@ -2,7 +2,9 @@
 
 The engine is a classic calendar queue: callbacks are scheduled at
 absolute simulated times and dispatched in time order.  Ties are broken
-by insertion order so runs are fully deterministic.
+by insertion order so runs are fully deterministic.  Heap entries are
+plain ``(time, seq, event)`` tuples: ``seq`` is unique, so tuple
+comparison (done in C) never reaches the event.
 
 The scheduler, workloads, and instruments all run on top of this engine;
 the thermal model is advanced *lazily* between events by the machine
@@ -14,20 +16,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
 from ..telemetry.registry import registry as _metrics_registry
-
-
-@dataclass(order=True)
-class _QueueEntry:
-    """Internal heap entry. Ordered by (time, sequence number)."""
-
-    time: float
-    seq: int
-    event: "Event" = field(compare=False)
 
 
 class Event:
@@ -83,7 +75,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._heap: List[_QueueEntry] = []
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._advance_listeners: List[Callable[[float, float], None]] = []
         self._running = False
@@ -124,7 +116,7 @@ class Simulator:
                 f"cannot schedule at t={time:.9f}, clock is already at {self._now:.9f}"
             )
         event = Event(time, callback, args)
-        heapq.heappush(self._heap, _QueueEntry(time, next(self._seq), event))
+        heapq.heappush(self._heap, (time, next(self._seq), event))
         return event
 
     def add_advance_listener(self, listener: Callable[[float, float], None]) -> None:
@@ -136,11 +128,11 @@ class Simulator:
     # ------------------------------------------------------------------
     def peek_next_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and self._heap[0].event.cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def step(self) -> bool:
         """Dispatch the next pending event.
@@ -148,10 +140,10 @@ class Simulator:
         Returns True if an event ran, False if the queue was empty.
         """
         while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.event.cancelled:
+            event = heapq.heappop(self._heap)[2]
+            if event.cancelled:
                 continue
-            self._dispatch(entry.event)
+            self._dispatch(event)
             return True
         return False
 
@@ -172,16 +164,16 @@ class Simulator:
         self._running = True
         try:
             with self._metric_run_wall.time():
-                heap = self._heap
+                heap, heappop = self._heap, heapq.heappop
                 while heap:
-                    entry = heap[0]
-                    if entry.event.cancelled:
-                        heapq.heappop(heap)
+                    time, _, event = heap[0]
+                    if event.cancelled:
+                        heappop(heap)
                         continue
-                    if until is not None and entry.time > until:
+                    if until is not None and time > until:
                         break
-                    heapq.heappop(heap)
-                    self._dispatch(entry.event)
+                    heappop(heap)
+                    self._dispatch(event)
                 if until is not None:
                     if until < self._now:
                         raise SimulationError(

@@ -1,5 +1,7 @@
 """Tests for the multicore chip model."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -76,10 +78,13 @@ def test_c1e_disabled_keeps_cores_shallow():
     core = chip.cores[0]
     core.set_idle(now=0.0)
     assert chip.effective_cstate(core, 10.0) is CState.C1
-    assert chip.cstate_breakpoints(0.0, 10.0) == []
+    cstates, _, horizon = chip.power_segment(0.0)
+    assert cstates == (CState.C1, CState.C1)
+    assert horizon == math.inf
 
 
 def test_cstate_breakpoints_for_idle_cores(chip):
+    """Walking segment horizons visits every promotion instant in order."""
     chip.cores[0].set_idle(now=0.0, hinted=True)
     chip.cores[1].set_running(None, 1.0, now=0.0)
     chip.cores[2].set_idle(now=0.5, hinted=True)
@@ -88,14 +93,25 @@ def test_cstate_breakpoints_for_idle_cores(chip):
         chip.cstate_params.c1e_promotion_threshold
         + chip.cstate_params.c1e_entry_latency
     )
-    points = chip.cstate_breakpoints(0.0, 1.0)
+    points = []
+    time = 0.0
+    while True:
+        _, _, time = chip.power_segment(time)
+        if time == math.inf:
+            break
+        points.append(time)
     assert points == [pytest.approx(threshold), pytest.approx(0.5 + threshold)]
+    assert points == [core.promotion_time() for core in (chip.cores[0], chip.cores[2])]
 
 
 def test_breakpoints_exclude_interval_edges(chip):
+    """A segment starting on a promotion instant is already promoted and
+    ends at the next instant strictly after it."""
     chip.cores[0].set_idle(now=0.0)
     threshold = chip.cores[0].promotion_time()
-    assert chip.cstate_breakpoints(threshold, threshold + 1.0) == []
+    cstates, _, horizon = chip.power_segment(threshold)
+    assert cstates[0] is CState.C1E
+    assert horizon == math.inf
 
 
 def test_power_vector_layout(chip):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu import CState
 from repro.experiments import Machine, fast_config
 from repro.workloads import CpuBurn, FiniteCpuBurn
 
@@ -41,10 +42,7 @@ def test_affinity_to_busy_core_waits():
     # Both share core 0: the finite thread takes ~2x its work to finish.
     assert late.stats.exit_time is None or late.stats.exit_time > 0.9
     # And cores 1-3 never ran anything.
-    busy = sum(core.residency.get_busy() if hasattr(core, "get_busy") else 0 for core in [])
     for core in machine.chip.cores[1:]:
-        from repro.cpu import CState
-
         assert core.residency.get(CState.C0) == 0.0
 
 

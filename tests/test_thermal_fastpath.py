@@ -104,7 +104,7 @@ def test_advance_coefficients_matches_scalar_advance():
     network = build_network(ThermalParams(), 4)
     temps0 = np.full(network.num_nodes, 55.0)
     _, power_fn = chip.power_function(time=0.0)
-    _, coefficients = chip.power_segment(0.0)
+    _, coefficients, _ = chip.power_segment(0.0)
 
     scalar = ThermalIntegrator(network, temps0.copy(), max_substep=5e-3)
     fused = ThermalIntegrator(network, temps0.copy(), max_substep=5e-3)
@@ -122,7 +122,7 @@ def test_advance_coefficients_zero_and_negative_duration():
         core.set_running(object(), 1.0, 0.0)
     network = build_network(ThermalParams(), 2)
     integ = ThermalIntegrator(network, np.full(network.num_nodes, 50.0))
-    _, coefficients = chip.power_segment(0.0)
+    _, coefficients, _ = chip.power_segment(0.0)
     _, power_fn = chip.power_function(time=0.0)
 
     result = integ.advance_coefficients(0.0, coefficients)
@@ -167,19 +167,19 @@ def test_power_segment_reuses_until_state_epoch_changes():
         for core in chip.cores:
             core.set_running(object(), 1.0, 0.0)
 
-        c1, k1 = chip.power_segment(0.0)
-        c2, k2 = chip.power_segment(0.25)
+        c1, k1, _ = chip.power_segment(0.0)
+        c2, k2, _ = chip.power_segment(0.25)
         assert k2 is k1 and c2 == c1
         assert registry.value("cpu.chip.power_segments.rebuilds") == 1
         assert registry.value("cpu.chip.power_segments.reuses") == 1
 
         chip.cores[0].set_running(object(), 0.5, 0.3)  # activity change
-        _, k3 = chip.power_segment(0.35)
+        _, k3, _ = chip.power_segment(0.35)
         assert k3 is not k2
         assert registry.value("cpu.chip.power_segments.rebuilds") == 2
 
         chip.set_tcc(setpoints(8)[3])  # chip-wide state change
-        _, k4 = chip.power_segment(0.4)
+        _, k4, _ = chip.power_segment(0.4)
         assert k4 is not k3
         assert registry.value("cpu.chip.power_segments.rebuilds") == 3
 
@@ -190,13 +190,14 @@ def test_power_segment_invalidates_at_cstate_promotion():
     promo = chip.cores[0].promotion_time()
     assert promo is not None
 
-    before, k_before = chip.power_segment(promo * 0.5)
+    before, k_before, horizon = chip.power_segment(promo * 0.5)
     assert before[0] is CState.C1
-    after, k_after = chip.power_segment(promo * 1.5)
+    assert horizon == promo
+    after, k_after, _ = chip.power_segment(promo * 1.5)
     assert after[0] is CState.C1E
     assert k_after is not k_before
     # The promoted segment is stable from there on.
-    again, k_again = chip.power_segment(promo * 2.0)
+    again, k_again, _ = chip.power_segment(promo * 2.0)
     assert k_again is k_after
 
 
@@ -206,16 +207,16 @@ def test_power_segment_never_reused_backwards():
     promo = chip.cores[0].promotion_time()
     chip.power_segment(promo * 1.5)
     # A query before the segment's build time must not reuse it.
-    states, _ = chip.power_segment(promo * 0.5)
+    states, _, _ = chip.power_segment(promo * 0.5)
     assert states[0] is CState.C1
 
 
 def test_tcc_affects_coefficients():
     chip = Chip(num_cores=1)
     chip.cores[0].set_running(object(), 1.0, 0.0)
-    _, k_off = chip.power_segment(0.0)
+    _, k_off, _ = chip.power_segment(0.0)
     chip.set_tcc(setpoints(8)[0])  # deepest duty cycle
-    _, k_tcc = chip.power_segment(0.0)
+    _, k_tcc, _ = chip.power_segment(0.0)
     assert k_tcc.base[0] < k_off.base[0]
     assert chip.tcc is not TCC_OFF
 
@@ -223,14 +224,29 @@ def test_tcc_affects_coefficients():
 # ----------------------------------------------------------------------
 # End to end
 # ----------------------------------------------------------------------
+def cstate_breakpoints(chip: Chip, t0: float, t1: float) -> list:
+    """Times in (t0, t1) at which any idle core of ``chip`` changes
+    C-state, found by scanning every core."""
+    if not chip.c1e_enabled:
+        return []
+    times = []
+    for core in chip.cores:
+        promo = core.promotion_time()
+        if promo is not None and t0 < promo < t1:
+            times.append(promo)
+    return sorted(set(times))
+
+
 class ScalarMachine(Machine):
     """The end-to-end oracle: a :class:`Machine` whose physics goes
     through the scalar power callback and
-    :meth:`ThermalIntegrator.advance` instead of the fused path."""
+    :meth:`ThermalIntegrator.advance` instead of the fused path, split
+    at promotion instants by a scan of every core and evaluated at each
+    piece's midpoint, independently of the chip's segment horizons."""
 
     def _advance_physics(self, t0: float, t1: float) -> None:
         chip = self.chip
-        edges = [t0] + chip.cstate_breakpoints(t0, t1) + [t1]
+        edges = [t0] + cstate_breakpoints(chip, t0, t1) + [t1]
         for a, b in zip(edges, edges[1:]):
             if b <= a:
                 continue
