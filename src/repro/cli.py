@@ -14,33 +14,40 @@ Examples
     python -m repro fig3 --resume               # pick up an interrupted sweep
     python -m repro smoke --inject-faults "crash@1,hang@3:30"  # chaos test
 
-Experiments built from independent runs — the characterization /
-finite sweeps (fig3, fig4, table1, the validations, smoke) *and* the
-rack-cell grids (fleet, fleet-compare, scenarios) — execute through
-the :mod:`repro.runtime` batch layer: ``--jobs N`` runs them on a
-worker pool and results are cached on disk (default
-``.repro-cache/``) so a repeat invocation is nearly instant.  Batch
-runs are hardened: ``--timeout`` kills hung workers, transient
-failures retry with backoff (``--max-retries``), an interrupted sweep
-resumes from its journal (``--resume``), ``--keep-going`` degrades
-gracefully past terminal failures, and ``--inject-faults``
-chaos-tests all of the above (see ``docs/robustness.md``).  The
-single-machine experiments (fig1, fig2, fig5, fig6) interleave all
-their events on one simulated testbed — there is nothing to pool or
-cache, and asking for it is a usage error (exit 2), not a silent
-no-op.
+Every experiment is one row of :data:`EXPERIMENTS`, which declares
+whether it is a batch experiment and whether it takes ``--policy``
+and the ``--health-*`` flags.  The parser's choices, ``list``, and
+flag validation all read that table, under one rule: a flag given to
+an experiment is legal only when the experiment declares it; for
+``all``, a flag is legal when at least one experiment declares it,
+and it applies only to those.  Any other flag is a usage error
+(exit 2), never a silent no-op.
+
+Batch experiments — the characterization / finite sweeps (fig3,
+fig4, table1, the validations, smoke) *and* the rack-cell grids
+(fleet, fleet-compare, scenarios) — execute through the
+:mod:`repro.runtime` batch layer: ``--jobs N`` runs them on a worker
+pool and results are cached on disk (default ``.repro-cache/``) so a
+repeat invocation is nearly instant.  Batch runs are hardened:
+``--timeout`` kills hung workers, transient failures retry with
+backoff (``--max-retries``), an interrupted sweep resumes from its
+journal (``--resume``), ``--keep-going`` degrades gracefully past
+terminal failures, and ``--inject-faults`` chaos-tests all of the
+above (see ``docs/robustness.md``).  The single-machine experiments
+(fig1, fig2, fig5, fig6) interleave all their events on one simulated
+testbed, so there is nothing to pool or cache.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import sys
 import time
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .experiments import (
     fast_config,
@@ -60,7 +67,7 @@ from .errors import ConfigurationError
 from .experiments.reporting import format_failure_report
 from .faults import FaultPlan
 from .fleet import fleet_compare_experiment, fleet_experiment, scenarios_experiment
-from .fleet.scheduling import POLICY_NAMES
+from .fleet.scheduling.registry import POLICY_NAMES, check_policy
 from .health import HealthParams
 from .runtime import (
     ParallelRunner,
@@ -79,27 +86,92 @@ DEFAULT_CACHE_DIR = ".repro-cache"
 #: The sweep journal lives inside the cache dir: resume needs both.
 JOURNAL_NAME = "journal.jsonl"
 
-#: experiment name -> (description, runner).
-EXPERIMENTS: Dict[str, tuple] = {
-    "fig1": ("race-to-idle vs Dimetrodon power trace", fig1_power_trace),
-    "fig2": ("temperature rise vs time for several p", fig2_temperature_timeseries),
-    "fig3": ("efficiency vs idle quantum length", fig3_efficiency),
-    "fig4": ("Dimetrodon vs VFS vs p4tcc sweeps", fig4_technique_comparison),
-    "fig5": ("global vs per-thread control", fig5_per_thread_control),
-    "fig6": ("web server QoS vs temperature reduction", fig6_webserver_qos),
-    "fleet": ("datacenter rack behind a load balancer (fleet-scale)", fleet_experiment),
-    "fleet-compare": (
+
+@dataclass(frozen=True)
+class Experiment:
+    """One declared experiment: what it reproduces, the function that
+    runs it, and the optional flag groups it takes.
+
+    ``batch``: the batch flags (``--jobs``, ``--cache-dir``, ...) —
+    the function takes ``runner=``.  ``policy``: ``--policy`` — it
+    takes ``policy=``.  ``health``: the ``--health-*`` flags — it takes
+    ``health_params=``.
+    """
+
+    description: str
+    func: Callable[..., Any]
+    batch: bool = False
+    policy: bool = False
+    health: bool = False
+
+
+#: The experiment table: experiment name -> declaration.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "fig1": Experiment("race-to-idle vs Dimetrodon power trace", fig1_power_trace),
+    "fig2": Experiment(
+        "temperature rise vs time for several p",
+        fig2_temperature_timeseries,
+        health=True,
+    ),
+    "fig3": Experiment(
+        "efficiency vs idle quantum length", fig3_efficiency, batch=True
+    ),
+    "fig4": Experiment(
+        "Dimetrodon vs VFS vs p4tcc sweeps", fig4_technique_comparison, batch=True
+    ),
+    "fig5": Experiment("global vs per-thread control", fig5_per_thread_control),
+    "fig6": Experiment("web server QoS vs temperature reduction", fig6_webserver_qos),
+    "fleet": Experiment(
+        "datacenter rack behind a load balancer (fleet-scale)",
+        fleet_experiment,
+        batch=True,
+        policy=True,
+        health=True,
+    ),
+    "fleet-compare": Experiment(
         "thermal techniques compared rack-wide (fig4 at fleet scale)",
         fleet_compare_experiment,
+        batch=True,
+        health=True,
     ),
-    "scenarios": (
+    "scenarios": Experiment(
         "injection x load shape x policy sweep with windowed SLO scoring",
         scenarios_experiment,
+        batch=True,
+        policy=True,
+        health=True,
     ),
-    "table1": ("SPEC CPU2006 profiles and fits", table1_spec_workloads),
-    "validate-throughput": ("throughput model validation (§3.3)", validate_throughput_model),
-    "validate-energy": ("energy model validation (§3.3)", validate_energy_model),
-    "smoke": ("tiny sweep exercising the batch runtime (CI)", smoke_sweep),
+    "table1": Experiment(
+        "SPEC CPU2006 profiles and fits", table1_spec_workloads, batch=True
+    ),
+    "validate-throughput": Experiment(
+        "throughput model validation (§3.3)", validate_throughput_model, batch=True
+    ),
+    "validate-energy": Experiment(
+        "energy model validation (§3.3)", validate_energy_model, batch=True
+    ),
+    "smoke": Experiment(
+        "tiny sweep exercising the batch runtime (CI)", smoke_sweep, batch=True
+    ),
+}
+
+#: The flags only some experiments take: parser dest -> the
+#: :class:`Experiment` field that admits it.  Every other flag applies
+#: to every experiment.
+FLAG_GROUPS: Dict[str, str] = {
+    "jobs": "batch",
+    "cache_dir": "batch",
+    "no_cache": "batch",
+    "progress": "batch",
+    "timeout": "batch",
+    "max_retries": "batch",
+    "resume": "batch",
+    "keep_going": "batch",
+    "inject_faults": "batch",
+    "policy": "policy",
+    "health_warning_rise": "health",
+    "health_critical_rise": "health",
+    "health_period": "health",
 }
 
 
@@ -227,111 +299,55 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def supports_runner(func: Callable) -> bool:
-    """Whether an experiment accepts the batch ``runner`` keyword."""
-    return "runner" in inspect.signature(func).parameters
-
-
-def supports_policy(func: Callable) -> bool:
-    """Whether an experiment accepts the scheduling ``policy`` keyword."""
-    return "policy" in inspect.signature(func).parameters
-
-
-def supports_health(func: Callable) -> bool:
-    """Whether an experiment accepts the ``health_params`` keyword
-    (monitoring threshold overrides)."""
-    return "health_params" in inspect.signature(func).parameters
-
-
 def health_params_from_args(args: argparse.Namespace) -> Optional[HealthParams]:
     """Build the ``--health-*`` override, or None when no flag was given
     (experiments then use the :class:`~repro.health.HealthParams`
     defaults)."""
-    overrides = {}
-    if args.health_warning_rise is not None:
-        overrides["warning_rise"] = args.health_warning_rise
-    if args.health_critical_rise is not None:
-        overrides["critical_rise"] = args.health_critical_rise
-    if args.health_period is not None:
-        overrides["period"] = args.health_period
-    if not overrides:
-        return None
-    return HealthParams(**overrides)
+    overrides = {
+        dest[len("health_"):]: getattr(args, dest)
+        for dest, group in FLAG_GROUPS.items()
+        if group == "health" and getattr(args, dest) is not None
+    }
+    return HealthParams(**overrides) if overrides else None
 
 
-def validate_health(experiment: str, params: Optional[HealthParams]) -> None:
-    """Reject ``--health-*`` flags on experiments without monitors."""
-    if params is None or experiment == "all":
-        return
-    func = EXPERIMENTS.get(experiment, (None, None))[1]
-    if func is None or not supports_health(func):
-        raise ConfigurationError(
-            f"--health-* flags apply only to experiments with health "
-            f"monitors (fig2, fleet, fleet-compare, scenarios), not "
-            f"{experiment!r}"
-        )
+def given_flags(
+    parser: argparse.ArgumentParser, args: argparse.Namespace
+) -> Dict[str, str]:
+    """The experiment-specific flags set away from their defaults, as
+    ``{"--flag": group}`` (see :data:`FLAG_GROUPS`)."""
+    return {
+        "--" + dest.replace("_", "-"): group
+        for dest, group in FLAG_GROUPS.items()
+        if getattr(args, dest) != parser.get_default(dest)
+    }
 
 
-def validate_policy(experiment: str, policy: Optional[str]) -> None:
-    """Reject a bad ``--policy`` before any simulation starts."""
-    if policy is None:
-        return
-    if policy not in POLICY_NAMES:
-        raise ConfigurationError(
-            f"unknown scheduling policy {policy!r} "
-            f"(known: {', '.join(POLICY_NAMES)})"
-        )
-    func = EXPERIMENTS.get(experiment, (None, None))[1]
-    if func is None or not supports_policy(func):
-        raise ConfigurationError(
-            f"--policy applies only to experiments that take a scheduling "
-            f"policy (fleet, scenarios), not {experiment!r}"
-        )
+def validate_flags(experiment: str, flags: Dict[str, str]) -> List[str]:
+    """Check ``flags`` (``{name: group}``) against the table and return
+    the experiments to run.
 
-
-def validate_batch_flags(experiment: str, args: argparse.Namespace) -> None:
-    """Reject batch flags on an experiment that would silently ignore
-    them.
-
-    The single-machine experiments interleave every event on one
-    simulated testbed — there is nothing to pool, cache, journal, or
-    keep going past, so a ``--jobs 4`` there would be a lie the user
-    only discovers by timing the run.  ``all`` and ``list`` are exempt
-    (an ``all`` sweep legitimately mixes both kinds).
+    A flag is legal for an experiment that declares its group; for
+    ``all``, it is legal when any experiment declares it (it then
+    applies only to those).  One :class:`ConfigurationError` names
+    every illegal flag and which experiments take each group.
     """
-    if experiment in ("all", "list"):
-        return
-    func = EXPERIMENTS.get(experiment, (None, None))[1]
-    if func is None or supports_runner(func):
-        return
-    ignored = []
-    if args.jobs != 1:
-        ignored.append("--jobs")
-    if args.cache_dir != DEFAULT_CACHE_DIR:
-        ignored.append("--cache-dir")
-    if args.no_cache:
-        ignored.append("--no-cache")
-    if args.progress:
-        ignored.append("--progress")
-    if args.timeout is not None:
-        ignored.append("--timeout")
-    if args.max_retries != 1:
-        ignored.append("--max-retries")
-    if args.resume:
-        ignored.append("--resume")
-    if args.keep_going:
-        ignored.append("--keep-going")
-    if args.inject_faults:
-        ignored.append("--inject-faults")
-    if ignored:
-        batch = ", ".join(
-            name for name in sorted(EXPERIMENTS) if supports_runner(EXPERIMENTS[name][1])
+    names = sorted(EXPERIMENTS) if experiment == "all" else [experiment]
+    illegal = [
+        flag
+        for flag, group in flags.items()
+        if not any(getattr(EXPERIMENTS[name], group) for name in names)
+    ]
+    if illegal:
+        takers = "; ".join(
+            f"{group} flags: "
+            + ", ".join(n for n, e in sorted(EXPERIMENTS.items()) if getattr(e, group))
+            for group in dict.fromkeys(flags[flag] for flag in illegal)
         )
         raise ConfigurationError(
-            f"{', '.join(ignored)}: no effect on {experiment!r}, which runs "
-            f"all its events on one simulated machine (batch experiments: "
-            f"{batch})"
+            f"{', '.join(illegal)}: no effect on {experiment!r} ({takers})"
         )
+    return names
 
 
 def _print_progress(event: ProgressEvent, runner: Optional[ParallelRunner] = None) -> None:
@@ -404,29 +420,30 @@ def run_experiment(
     """Run one experiment and return its rendered text.
 
     ``timings``, when given, collects the experiment's wall seconds
-    under its name (the manifest records these).  ``policy`` is passed
-    through to experiments that take a scheduling policy (the fleet);
-    asking for it elsewhere is a :class:`ConfigurationError`.
+    under its name (the manifest records these).  ``policy`` and
+    ``health_params`` (monitoring threshold overrides) are passed
+    through to an experiment that declares them; passing either to one
+    that does not is a :class:`ConfigurationError`, as is an unknown
+    policy.  ``runner`` is used only by batch experiments.
     ``artifacts``, when given, collects ``result.manifest_payload()``
     under the experiment's name for results that define it (the
-    ``scenarios`` experiment's per-window SLO series).  ``health_params``
-    overrides the monitoring thresholds for experiments that run health
-    monitors; ``health``, when given, collects ``result.health_payload()``
-    under the experiment's name (the manifest's ``health`` section).
+    ``scenarios`` experiment's per-window SLO series); ``health``, when
+    given, collects ``result.health_payload()`` under the experiment's
+    name (the manifest's ``health`` section).
     """
     config = full_config(seed) if full else fast_config(seed)
-    _, func = EXPERIMENTS[name]
-    kwargs = {}
+    entry = EXPERIMENTS[name]
+    # Each keyword's value and the table field that admits it.
+    offered = {"policy": (policy, "policy"), "health_params": (health_params, "health")}
+    kwargs = {key: value for key, (value, _) in offered.items() if value is not None}
+    validate_flags(name, {key: offered[key][1] for key in kwargs})
     if policy is not None:
-        validate_policy(name, policy)
-        kwargs["policy"] = policy
-    if health_params is not None and supports_health(func):
-        kwargs["health_params"] = health_params
+        check_policy(policy)
     started = time.time()
-    if runner is not None and supports_runner(func):
+    if runner is not None and entry.batch:
         executed_before = runner.metrics.executed
         hits_before = runner.metrics.cache_hits
-        result = func(config, runner=runner, **kwargs)
+        result = entry.func(config, runner=runner, **kwargs)
         elapsed = time.time() - started
         executed = runner.metrics.executed - executed_before
         hits = runner.metrics.cache_hits - hits_before
@@ -435,7 +452,7 @@ def run_experiment(
             f"{hits} cached | jobs={runner.jobs}]"
         )
     else:
-        result = func(config, **kwargs)
+        result = entry.func(config, **kwargs)
         elapsed = time.time() - started
         status = f"[{name}: {elapsed:.1f}s wall]"
     if timings is not None:
@@ -481,22 +498,21 @@ def build_manifest(
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
-        for name in sorted(EXPERIMENTS):
-            description, func = EXPERIMENTS[name]
-            batch = " [batch]" if supports_runner(func) else ""
-            print(f"{name:22s} {description}{batch}")
+        for name, entry in sorted(EXPERIMENTS.items()):
+            batch = " [batch]" if entry.batch else ""
+            print(f"{name:22s} {entry.description}{batch}")
         return 0
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     # A fresh registry per invocation: the manifest's metrics cover
     # exactly this run, even when main() is called repeatedly in-process.
     with isolated() as metrics_registry:
         try:
-            validate_policy(args.experiment, args.policy)
-            validate_batch_flags(args.experiment, args)
+            names = validate_flags(args.experiment, given_flags(parser, args))
+            if args.policy is not None:
+                check_policy(args.policy)
             health_params = health_params_from_args(args)
-            validate_health(args.experiment, health_params)
             runner = make_runner(
                 jobs=args.jobs,
                 cache_dir=args.cache_dir,
@@ -516,6 +532,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         health: Dict[str, object] = {}
         try:
             for name in names:
+                entry = EXPERIMENTS[name]
                 print(
                     run_experiment(
                         name,
@@ -523,9 +540,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         full=args.full,
                         runner=runner,
                         timings=timings,
-                        policy=args.policy,
+                        # Under `all`, each flag reaches only the
+                        # experiments that declare it.
+                        policy=args.policy if entry.policy else None,
                         artifacts=artifacts,
-                        health_params=health_params,
+                        health_params=health_params if entry.health else None,
                         health=health,
                     )
                 )

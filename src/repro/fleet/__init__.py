@@ -19,27 +19,29 @@ structure-of-arrays batched physics.
   ``scenarios`` CLI experiment: injection probability × load shape
   (diurnal/surge/bursty/trace) × policy, scored with the windowed SLO
   scorer (see docs/scenarios.md);
-- :mod:`~repro.fleet.cells` — rack runs as batchable units of work:
-  every fleet experiment is a grid of independent
-  :func:`~repro.fleet.cells.rack_cell_spec` cells executed through the
+- :mod:`~repro.fleet.cells` — the one rack path the three experiments
+  share: each is a :class:`~repro.fleet.cells.RackGrid` of independent
+  rack cells (build, run and measure one rack:
+  :func:`~repro.fleet.cells.run_rack_cell`) executed through the
   :mod:`repro.runtime` pool/cache/journal stack (``--jobs``,
-  ``--cache-dir``, ``--resume``, ``--keep-going``), bit-identical to
-  the old serial loops.
+  ``--cache-dir``, ``--resume``, ``--keep-going``), bit-identical to a
+  serial loop.
 
 See docs/fleet.md for the architecture and equivalence guarantees.
 """
 
 from .balancer import Balancer, RoundRobinBalancer
-from .cells import RackCellResult, rack_cell_spec, run_rack_cell
+from .cells import (
+    SCENARIO_SHAPES,
+    RackCellResult,
+    build_scenario_arrivals,
+    rack_cell_spec,
+    run_rack_cell,
+)
 from .compare import FleetCompareResult, fleet_compare_experiment
 from .experiment import FleetResult, fleet_experiment
 from .machine import FleetMachine, FleetNode
-from .scenarios import (
-    SCENARIO_SHAPES,
-    ScenariosResult,
-    build_scenario_arrivals,
-    scenarios_experiment,
-)
+from .scenarios import ScenariosResult, scenarios_experiment
 from .scheduling import (
     POLICY_NAMES,
     CacheAwareMigrationPolicy,

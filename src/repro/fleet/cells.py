@@ -3,12 +3,13 @@
 The fleet experiments (``fleet``, ``fleet-compare``, ``scenarios``)
 are grids of *fully independent* rack simulations — each cell builds
 its own :class:`~repro.fleet.machine.FleetMachine` from its own
-config and shares no state with any other cell.  Historically they
-ran those cells in a bare serial loop, bypassing the
-:mod:`repro.runtime` batch layer the figure sweeps use.  This module
-closes that gap by expressing one rack run as the runtime's unit of
-work:
+config and shares no state with any other cell.  This module is the
+one rack path the three experiments share:
 
+- :class:`RackGrid` is one experiment's rack: the preset sizing rule,
+  the default run length, the spec builder, and the run step
+  (execute the cells, require the leading ones, drop abandoned ones,
+  read the rack's idle baseline);
 - :func:`rack_cell_spec` builds a picklable
   :class:`~repro.runtime.parallel.RunSpec` (kind ``"rack-cell"``)
   whose cache key covers the experiment config, every cell parameter
@@ -18,19 +19,19 @@ work:
   editing a scheduling policy invalidates exactly the rack cells, not
   the figure sweeps;
 - :func:`run_rack_cell` is the registered executor: it rebuilds the
-  rack from the declarative parameters (arrival shapes come from the
-  shape registry, node programming from scalar flags — nothing
-  unpicklable crosses a process boundary), runs it through
-  :func:`~repro.fleet.experiment._measure_rack`, and distils the
-  result into a :class:`RackCellResult`;
+  rack from the declarative parameters (arrival shapes come from
+  :func:`build_scenario_arrivals`, node programming from scalar flags
+  — nothing unpicklable crosses a process boundary), runs it, scores
+  it (:func:`_measure_rack`), and distils the result into a
+  :class:`RackCellResult`;
 - :class:`RackCellResult` is the serialisable cell result — the
-  :class:`~repro.fleet.experiment._FleetRun` measurement, the health
-  rollup, the windowed SLO report, and the cell's physics telemetry —
-  registered with the result cache's JSON codec so cached replay is
-  bit-identical to execution.
+  :class:`_FleetRun` measurement, the health rollup, the windowed SLO
+  report, and the cell's physics telemetry — registered with the
+  result cache's JSON codec so cached replay is bit-identical to
+  execution.
 
 Because each cell rebuilds its rack from ``(config, params)`` alone,
-a ``jobs=N`` fan-out is bit-identical to the old serial loop, and the
+a ``jobs=N`` fan-out is bit-identical to a serial loop, and the
 pool/cache/journal/retry/timeout stack (``--jobs``, ``--cache-dir``,
 ``--resume``, ``--timeout``, ``--keep-going``) applies to fleet
 experiments exactly as it does to figure sweeps.
@@ -39,6 +40,7 @@ experiments exactly as it does to figure sweeps.
 from __future__ import annotations
 
 import dataclasses
+import gc
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -47,18 +49,214 @@ import numpy as np
 from ..analysis.slo import SloReport, WindowScore, score_windows
 from ..core.migration import ThermalMigrationPolicy
 from ..cpu.tcc import TccSetting
-from ..errors import ExecutionError
-from ..health import HealthParams
+from ..errors import ConfigurationError, ExecutionError
+from ..experiments.config import ExperimentConfig
+from ..health import FleetHealth, HealthParams
 from ..runtime.cache import register_result_codec
 from ..runtime.hashing import fleet_fingerprint
 from ..runtime.parallel import ParallelRunner, RunSpec, execute_spec, register_executor
 from ..sim.rng import RngRegistry
 from ..telemetry.registry import registry as _metrics_registry
-from .experiment import _FleetRun, _measure_rack
-from .machine import FleetNode
+from ..workloads.loadshapes import (
+    ArrivalProcess,
+    ConstantLoad,
+    DiurnalLoad,
+    MergedArrivals,
+    ParetoBurstArrivals,
+    PoissonArrivals,
+    StepLoad,
+    TraceArrivals,
+    synthesize_request_trace,
+)
+from ..workloads.webserver import (
+    CONNECTIONS,
+    KERNEL_OVERHEAD,
+    QOS_GOOD,
+    QOS_TOLERABLE,
+    SERVICE_MEAN,
+    THINK_TIME,
+    WebServer,
+)
+from .machine import FleetMachine
+from .scheduling.registry import PolicyBundle, build_policy
 
 #: The executor kind rack cells run under (see ``repro.runtime``).
 RACK_CELL_KIND = "rack-cell"
+
+#: Rack defaults the fleet experiments share: the warmup before QoS
+#: scoring starts, the injected idle quantum, and the injection
+#: probability of the Dimetrodon racks.
+WARMUP = 5.0
+IDLE_QUANTUM = 0.050
+INJECTION_P = 0.65
+
+#: Load-shape registry; its order is presentation order in the
+#: ``scenarios`` report.
+SCENARIO_SHAPES = ("constant", "diurnal", "surge", "bursty", "trace")
+
+
+def build_scenario_arrivals(
+    name: str,
+    *,
+    rate: float,
+    duration: float,
+    rng: np.random.Generator,
+) -> ArrivalProcess:
+    """Construct the named shape's arrival process for a rack sized for
+    ``rate`` requests/s aggregate, over a ``duration``-second run.
+
+    ``rng`` is consumed only by the ``trace`` shape (to synthesize the
+    frozen trace); the live shapes draw from the balancer's stream at
+    run time.  Unknown names raise :class:`ConfigurationError` listing
+    the registry.
+    """
+    if name == "constant":
+        return PoissonArrivals(ConstantLoad(rate))
+    if name == "diurnal":
+        # One full day/night cycle compressed into the run: the trough
+        # is where injection gets free headroom, the crest where it
+        # must pay the deferred work back.
+        return PoissonArrivals(
+            DiurnalLoad(rate, amplitude=0.6, period=duration, phase=0.0)
+        )
+    if name == "surge":
+        # Flash crowd: double the nominal rate for the middle fifth.
+        return PoissonArrivals(
+            StepLoad(
+                0.75 * rate,
+                2.0 * rate,
+                start=0.4 * duration,
+                duration=0.2 * duration,
+            )
+        )
+    if name == "bursty":
+        # 70% smooth Poisson baseline + 30% of the load arriving as
+        # Pareto-sized bursts (heavy-tailed bunching).
+        burst_mean = 40.0
+        return MergedArrivals(
+            PoissonArrivals(ConstantLoad(0.7 * rate)),
+            ParetoBurstArrivals(
+                burst_rate=0.3 * rate / burst_mean,
+                mean_burst_size=burst_mean,
+                alpha=1.5,
+                in_burst_rate=max(4.0 * rate, 100.0),
+            ),
+        )
+    if name == "trace":
+        # Freeze a composed diurnal+surge shape into a concrete trace:
+        # every policy/p cell replays bit-identical arrival times.
+        shape = DiurnalLoad(
+            0.7 * rate, amplitude=0.5, period=duration
+        ) + StepLoad(
+            0.0, 0.6 * rate, start=0.5 * duration, duration=0.15 * duration
+        )
+        trace = synthesize_request_trace(rng, duration=duration, shape=shape)
+        return TraceArrivals(trace)
+    raise ConfigurationError(
+        f"unknown load shape {name!r} (known: {', '.join(SCENARIO_SHAPES)})"
+    )
+
+
+# ----------------------------------------------------------------------
+# One rack run, measured
+# ----------------------------------------------------------------------
+@dataclass
+class _FleetRun:
+    """Measurements from one rack run (baseline or injected)."""
+
+    qos_good: float
+    qos_tolerable: float
+    mean_response: float
+    mean_temp: float
+    peak_temp: float
+    energy: float
+    work_done: float
+    requests: int
+    migrations: int = 0
+    migration_cost_s: float = 0.0
+    #: Health-monitor rollups (warning + critical escalations, summed
+    #: machine-seconds in each state) and, for the alert-reactive
+    #: policy, the controllers' time-weighted throttle dwell.
+    alerts: int = 0
+    critical_alerts: int = 0
+    time_in_warning_s: float = 0.0
+    time_in_critical_s: float = 0.0
+    throttle_engagements: int = 0
+    time_throttled_s: float = 0.0
+
+
+def _plain(value: Any) -> Any:
+    """Collapse numpy scalars so executed and cache-replayed results
+    are structurally identical (the cache stores JSON numbers)."""
+    if isinstance(value, np.floating):
+        return float(value)
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.bool_):
+        return bool(value)
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _peak_temp(fleet: FleetMachine, *, start: float) -> float:
+    """Hottest sampled core temperature anywhere in the rack from
+    ``start`` on (the rack's worst thermal excursion, fig2's peak
+    measured fleet-wide)."""
+    peak = -np.inf
+    for node in fleet.nodes:
+        times = node.templog.times
+        if times.size == 0:
+            continue
+        mask = times >= start
+        if np.any(mask):
+            peak = max(peak, float(node.templog.samples[mask].max()))
+    return peak if np.isfinite(peak) else fleet.idle_mean_temp
+
+
+def _measure_rack(
+    fleet: FleetMachine,
+    servers: Sequence[WebServer],
+    bundle: PolicyBundle,
+    health: FleetHealth,
+    *,
+    warmup: float,
+    duration: float,
+) -> _FleetRun:
+    """Score a finished rack: rack-wide QoS over the same window fig6
+    scores per machine — requests arriving in ``[warmup, duration -
+    QOS_TOLERABLE)``, pooled across every server (unanswered requests
+    count as failures) — plus its temperatures, energy, work, and the
+    policy and health rollups.  A windowless rack (possible under a
+    trough-heavy shape) scores NaN, the same no-data convention as
+    ``RequestLog.qos_fraction``."""
+    start, end = warmup, duration - QOS_TOLERABLE
+    window = [r for s in servers for r in s.log.arrived_in(start, end)]
+    answered = [r.response_time for r in window if r.response_time is not None]
+    count = len(window)
+    good = sum(1 for t in answered if t <= QOS_GOOD)
+    tolerable = sum(1 for t in answered if t <= QOS_TOLERABLE)
+    measured = dict(
+        qos_good=good / count if count else float("nan"),
+        qos_tolerable=tolerable / count if count else float("nan"),
+        mean_response=float(np.mean(answered)) if answered else float("inf"),
+        mean_temp=fleet.mean_core_temp_over_window(),
+        peak_temp=_peak_temp(fleet, start=warmup),
+        energy=fleet.total_energy(),
+        work_done=fleet.total_work_done(),
+        requests=count,
+        migrations=bundle.migrations,
+        migration_cost_s=bundle.migration_cost_seconds,
+        alerts=health.alerts,
+        critical_alerts=health.critical_alerts,
+        time_in_warning_s=health.time_in_warning,
+        time_in_critical_s=health.time_in_critical,
+        throttle_engagements=bundle.throttle_engagements,
+        time_throttled_s=bundle.time_throttled_seconds,
+    )
+    return _FleetRun(**_plain(measured))
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +324,7 @@ register_result_codec(
 
 
 # ----------------------------------------------------------------------
-# Spec construction
+# Specs, execution, and the shared rack grid
 # ----------------------------------------------------------------------
 def rack_cell_spec(config: Any, **params: Any) -> RunSpec:
     """A :class:`RunSpec` for one rack cell.
@@ -167,59 +365,101 @@ def require_cells(
         )
 
 
+@dataclass(frozen=True)
+class RackGrid:
+    """The rack every cell of one experiment runs.
+
+    The config, rack size, run length, warmup, idle quantum and health
+    thresholds belong to the grid; its cells differ only in their own
+    parameters (``p``, policy, load shape, technique knobs).
+    """
+
+    config: ExperimentConfig
+    machines: int
+    duration: float
+    warmup: float
+    idle_quantum: float
+    health: Optional[HealthParams]
+
+    @classmethod
+    def sized(
+        cls,
+        config: ExperimentConfig,
+        sizes: Tuple[int, int],
+        *,
+        machines: Optional[int] = None,
+        duration: Optional[float] = None,
+        warmup: float = WARMUP,
+        idle_quantum: float = IDLE_QUANTUM,
+        health: Optional[HealthParams] = None,
+    ) -> "RackGrid":
+        """A grid sized by preset.  ``sizes`` is the ``(fast, full)``
+        rack size: the presets differ only in timing, and the longer
+        paper-faithful characterization also gets the paper-scale rack.
+        ``duration`` defaults to the warmup, the config's measurement
+        window, and the QoS drain."""
+        if machines is None:
+            fast, full = sizes
+            machines = full if config.characterization_duration >= 300.0 else fast
+        if duration is None:
+            duration = warmup + config.measure_window + QOS_TOLERABLE
+        return cls(config, machines, duration, warmup, idle_quantum, health)
+
+    @property
+    def offered_load_per_core(self) -> float:
+        """The web workload's offered utilisation per core (fig6's
+        number), from the default server sizing without building one."""
+        return (
+            (CONNECTIONS / THINK_TIME)
+            * (SERVICE_MEAN + KERNEL_OVERHEAD)
+            / self.config.num_cores
+        )
+
+    def spec(self, p: float, policy: str, **params: Any) -> RunSpec:
+        """One cell: this rack at injection probability ``p`` under the
+        scheduling ``policy``, plus the cell's own :func:`run_rack_cell`
+        ``params``.  Health thresholds enter only when overridden, so a
+        plain cell keys identically whichever experiment builds it."""
+        if self.health is not None:
+            params["health"] = self.health
+        return rack_cell_spec(
+            self.config,
+            machines=self.machines,
+            duration=self.duration,
+            warmup=self.warmup,
+            p=p,
+            idle_quantum=self.idle_quantum,
+            policy=policy,
+            **params,
+        )
+
+    def run(
+        self,
+        runner: Optional[ParallelRunner],
+        experiment: str,
+        cells: Sequence[Tuple[Any, RunSpec]],
+        required: Sequence[str] = (),
+    ) -> Tuple[List[Tuple[Any, RackCellResult]], float]:
+        """Execute ``(label, spec)`` cells (:func:`run_cells`) and return
+        the ``(label, result)`` pairs that left a result, in grid order,
+        with the rack's idle mean temperature (0.0 when no cell did).
+
+        The leading cells, named by ``required``, must succeed; any
+        other cell abandoned under ``--keep-going`` is dropped.
+        """
+        results = run_cells(runner, [spec for _, spec in cells])
+        require_cells(experiment, required, results[: len(required)])
+        done = [
+            (label, result)
+            for (label, _), result in zip(cells, results)
+            if result is not None
+        ]
+        return done, done[0][1].idle_mean_temp if done else 0.0
+
+
 # ----------------------------------------------------------------------
 # The executor
 # ----------------------------------------------------------------------
-def _plain(value: Any) -> Any:
-    """Collapse numpy scalars so executed and cache-replayed results
-    are structurally identical (the cache stores JSON numbers)."""
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
-
-
-def _node_setup(
-    *,
-    dvfs_min: bool,
-    tcc_duty: Optional[float],
-    heat_and_run: bool,
-    core_policies: List[ThermalMigrationPolicy],
-):
-    """Per-node configuration hook built from declarative flags (the
-    compare experiment's technique knobs), or None when nothing is
-    asked for.  Mirrors the management-plane convention: heat-and-run
-    reads only the node's sampled telemetry, never live physics."""
-    if not (dvfs_min or tcc_duty is not None or heat_and_run):
-        return None
-
-    def setup(node: FleetNode):
-        if dvfs_min:
-            node.chip.set_operating_point(node.chip.dvfs_table.min_point)
-        if tcc_duty is not None:
-            node.chip.set_tcc(TccSetting(duty=tcc_duty))
-        if heat_and_run:
-            def read_temps(node=node):
-                sample = node.templog.latest()
-                return node.idle_core_temps if sample is None else sample
-
-            policy = ThermalMigrationPolicy(
-                node.sim, node.scheduler, read_temps, period=1.0, min_delta=0.5
-            )
-            core_policies.append(policy)
-            return policy
-        return None
-
-    return setup
-
-
 def run_rack_cell(
     config: Any,
     *,
@@ -240,21 +480,25 @@ def run_rack_cell(
 ) -> RackCellResult:
     """Build, run, and score one rack — the ``rack-cell`` executor.
 
-    ``shape`` names a load shape from the scenarios registry
-    (``rate`` is the aggregate requests/s envelope it is sized for);
-    None keeps the web servers' default fixed-rate Poisson front door.
-    ``dvfs_min``/``tcc_duty``/``heat_and_run`` are the compare
-    experiment's per-node technique knobs.  ``slo_window`` is
+    ``policy`` names the scheduling policy (``repro.fleet.scheduling``
+    registry).  ``shape`` names a load shape from
+    :data:`SCENARIO_SHAPES` (``rate`` is the aggregate requests/s
+    envelope it is sized for); None keeps the web servers' default
+    fixed-rate Poisson front door.  ``dvfs_min``/``tcc_duty``/
+    ``heat_and_run`` are the compare experiment's per-node technique
+    knobs; heat-and-run reads only the node's sampled telemetry, never
+    live physics (the management-plane convention).
+
+    Every rack runs with health monitors attached (``health``
+    overrides the default :class:`~repro.health.HealthParams`) — the
+    production posture: monitoring is not optional, and the
+    alert-reactive policy requires it.  ``slo_window`` is
     ``(start, end, window)``: when given, the rack's pooled requests
     are scored with the windowed SLO scorer *inside the cell*, so only
     the report — not the request log — crosses the process boundary.
     """
     arrivals = None
     if shape is not None:
-        # Imported lazily: scenarios.py builds specs through this
-        # module, so the module-level edge must point the other way.
-        from .scenarios import build_scenario_arrivals
-
         if rate is None:
             raise ExecutionError("a shaped rack cell needs an aggregate rate")
         # A fresh, identically seeded stream per cell: the trace shape
@@ -272,24 +516,54 @@ def run_rack_cell(
         wall = metrics.value("fleet.advance_wall", {"total": 0.0})["total"]
         return float(metrics.value("fleet.substeps", 0)), float(wall)
 
-    core_policies: List[ThermalMigrationPolicy] = []
     substeps0, wall0 = _physics()
-    measurement = _measure_rack(
-        config,
-        machines=machines,
-        duration=duration,
-        warmup=warmup,
-        p=p,
-        idle_quantum=idle_quantum,
-        policy=policy,
-        node_setup=_node_setup(
-            dvfs_min=dvfs_min,
-            tcc_duty=tcc_duty,
-            heat_and_run=heat_and_run,
-            core_policies=core_policies,
-        ),
+    # A finished rack is reference cycles only the cycle collector
+    # frees: free the previous one now, so back-to-back racks never
+    # hold two racks' memory whenever the collector happens to run.
+    gc.collect()
+    fleet = FleetMachine(config, machines=machines)
+    monitors = fleet.attach_health(health)
+    servers: List[WebServer] = [
+        WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
+        for node in fleet.nodes
+    ]
+    bundle = build_policy(
+        policy,
+        fleet,
+        servers,
+        rate=machines * servers[0].arrival_rate,
+        rng=RngRegistry(config.seed).stream("fleet-balancer"),
         arrivals=arrivals,
-        health_params=health,
+        health=monitors,
+    )
+    core_policies: List[ThermalMigrationPolicy] = []
+    for node in fleet.nodes:
+        if dvfs_min:
+            node.chip.set_operating_point(node.chip.dvfs_table.min_point)
+        if tcc_duty is not None:
+            node.chip.set_tcc(TccSetting(duty=tcc_duty))
+        if heat_and_run:
+            def read_temps(node=node):
+                sample = node.templog.latest()
+                return node.idle_core_temps if sample is None else sample
+
+            core_policies.append(
+                ThermalMigrationPolicy(
+                    node.sim, node.scheduler, read_temps, period=1.0, min_delta=0.5
+                )
+            )
+    if p > 0:
+        for node in fleet.nodes:
+            node.control.set_global_policy(p, idle_quantum)
+    fleet.run(duration)
+    bundle.stop()
+    bundle.finalize(fleet.now)
+    monitors.stop()
+    monitors.finalize()
+    for core_policy in core_policies:
+        core_policy.stop()
+    run = _measure_rack(
+        fleet, servers, bundle, monitors, warmup=warmup, duration=duration
     )
     substeps1, wall1 = _physics()
     metrics.scope("fleet").counter("cells").inc()
@@ -298,7 +572,9 @@ def run_rack_cell(
     p95: Optional[float] = None
     if slo_window is not None:
         start, end, window = slo_window
-        pooled = measurement.pooled_requests()
+        # Every request logged anywhere in the rack (arrival order is
+        # per-server; windowed scoring does not need a global sort).
+        pooled = [r for s in servers for r in s.log.requests]
         slo = score_windows(pooled, start=start, end=end, window=window)
         answered = sorted(
             r.response_time
@@ -307,17 +583,11 @@ def run_rack_cell(
         )
         p95 = float(np.percentile(answered, 95.0)) if answered else None
 
-    run = _FleetRun(
-        **{
-            f.name: _plain(getattr(measurement.run, f.name))
-            for f in dataclasses.fields(_FleetRun)
-        }
-    )
     return RackCellResult(
         run=run,
-        idle_mean_temp=float(measurement.fleet.idle_mean_temp),
+        idle_mean_temp=float(fleet.idle_mean_temp),
         core_migrations=int(sum(hr.migrations for hr in core_policies)),
-        health=_plain(measurement.health.summary(per_machine=health_per_machine)),
+        health=_plain(monitors.summary(per_machine=health_per_machine)),
         slo=slo,
         p95_response=p95,
         substeps=substeps1 - substeps0,

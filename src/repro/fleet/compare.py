@@ -26,7 +26,7 @@ never lets happen.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Mapping, Optional, Tuple
 
 from ..core.pareto import TradeoffPoint, pareto_boundary
 from ..experiments.config import ExperimentConfig
@@ -34,9 +34,11 @@ from ..experiments.reporting import format_table, percent
 from ..health import HealthParams
 from ..runtime.parallel import RunSpec
 from ..telemetry.registry import registry as _metrics_registry
-from ..workloads.webserver import QOS_TOLERABLE
-from .cells import rack_cell_spec, require_cells, run_cells
-from .experiment import _FleetRun, _offered_load
+from .cells import IDLE_QUANTUM, INJECTION_P, WARMUP, RackGrid, _FleetRun
+
+#: Rack size by preset, ``(fast, full)``: smaller than the plain
+#: ``fleet`` rack, since the comparison runs one rack per technique.
+RACK_MACHINES = (4, 64)
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,9 @@ class Technique:
     name: str
     policy: str = "round-robin"
     p: float = 0.0
-    dvfs_min: bool = False
-    tcc_duty: Optional[float] = None
-    heat_and_run: bool = False
+    #: Per-node technique knobs, as :func:`~repro.fleet.cells.run_rack_cell`
+    #: keywords; only knobs that differ from the executor defaults appear.
+    knobs: Mapping[str, Any] = field(default_factory=dict)
 
 
 def techniques(p: float) -> List[Technique]:
@@ -57,10 +59,10 @@ def techniques(p: float) -> List[Technique]:
     return [
         Technique("baseline"),
         Technique("dimetrodon", p=p),
-        Technique("dvfs-min", dvfs_min=True),
-        Technique("tcc-50", tcc_duty=0.5),
+        Technique("dvfs-min", knobs={"dvfs_min": True}),
+        Technique("tcc-50", knobs={"tcc_duty": 0.5}),
         Technique("alert-reactive", policy="alert-reactive"),
-        Technique("heat-and-run", heat_and_run=True),
+        Technique("heat-and-run", knobs={"heat_and_run": True}),
         Technique("coolest", policy="coolest"),
         Technique("migrate", policy="migrate"),
         Technique("dimetrodon+migrate", policy="migrate", p=p),
@@ -186,46 +188,20 @@ class FleetCompareResult:
         return {row.technique.name: row.health for row in self.rows}
 
 
-def technique_specs(
-    config: ExperimentConfig,
-    *,
-    machines: int,
-    duration: float,
-    warmup: float,
-    p: float,
-    idle_quantum: float,
-    health_params: Optional[HealthParams] = None,
-) -> Tuple[List[Technique], List[RunSpec]]:
-    """The comparison's rack cells: ``(roster, specs)``, one spec per
+def technique_specs(grid: RackGrid, p: float) -> List[Tuple[Technique, RunSpec]]:
+    """The comparison's rack cells: one ``(technique, spec)`` pair per
     technique, in roster (= submission = report) order.
 
-    Technique knobs enter the spec only when they deviate from the
-    executor defaults, so a plain cell (the baseline) keys identically
-    to the same rack run built by any other experiment and shares its
-    cache entry.  ``tools/profile_run.py --cell`` builds a single
-    technique's spec through this function too.
+    A technique's knobs are only those that differ from the executor
+    defaults, so a plain cell (the baseline) keys identically to the
+    same rack run built by any other experiment and shares its cache
+    entry.  ``tools/profile_run.py --cell`` builds a single technique's
+    spec through this function too.
     """
-    roster = techniques(p)
-    specs = []
-    for technique in roster:
-        params: dict = dict(
-            machines=machines,
-            duration=duration,
-            warmup=warmup,
-            p=technique.p,
-            idle_quantum=idle_quantum,
-            policy=technique.policy,
-        )
-        if technique.dvfs_min:
-            params["dvfs_min"] = True
-        if technique.tcc_duty is not None:
-            params["tcc_duty"] = technique.tcc_duty
-        if technique.heat_and_run:
-            params["heat_and_run"] = True
-        if health_params is not None:
-            params["health"] = health_params
-        specs.append(rack_cell_spec(config, **params))
-    return roster, specs
+    return [
+        (technique, grid.spec(technique.p, technique.policy, **technique.knobs))
+        for technique in techniques(p)
+    ]
 
 
 def fleet_compare_experiment(
@@ -233,9 +209,9 @@ def fleet_compare_experiment(
     *,
     machines: Optional[int] = None,
     duration: Optional[float] = None,
-    p: float = 0.65,
-    idle_quantum: float = 0.050,
-    warmup: float = 5.0,
+    p: float = INJECTION_P,
+    idle_quantum: float = IDLE_QUANTUM,
+    warmup: float = WARMUP,
     health_params: Optional[HealthParams] = None,
     runner: Optional[Any] = None,
 ) -> FleetCompareResult:
@@ -254,43 +230,33 @@ def fleet_compare_experiment(
     (the failure report names it); a lost baseline is an error, since
     every other row is scored against it.
     """
-    if machines is None:
-        machines = 64 if config.characterization_duration >= 300.0 else 4
-    if duration is None:
-        duration = warmup + config.measure_window + QOS_TOLERABLE
-
-    roster, specs = technique_specs(
+    grid = RackGrid.sized(
         config,
+        RACK_MACHINES,
         machines=machines,
         duration=duration,
         warmup=warmup,
+        idle_quantum=idle_quantum,
+        health=health_params,
+    )
+    cells, idle_mean = grid.run(
+        runner, "fleet-compare", technique_specs(grid, p), required=("baseline",)
+    )
+    _metrics_registry().scope("fleet").counter("compare.racks").inc(len(cells))
+    return FleetCompareResult(
+        machines=grid.machines,
+        duration=grid.duration,
         p=p,
         idle_quantum=idle_quantum,
-        health_params=health_params,
-    )
-    cells = run_cells(runner, specs)
-    require_cells("fleet-compare", [roster[0].name], cells[:1])
-
-    metrics = _metrics_registry().scope("fleet")
-    result = FleetCompareResult(
-        machines=machines,
-        duration=duration,
-        p=p,
-        idle_quantum=idle_quantum,
-        idle_mean_temp=0.0,
-        offered_load_per_core=_offered_load(config),
-    )
-    for technique, cell in zip(roster, cells):
-        if cell is None:
-            continue
-        result.idle_mean_temp = cell.idle_mean_temp
-        result.rows.append(
+        idle_mean_temp=idle_mean,
+        offered_load_per_core=grid.offered_load_per_core,
+        rows=[
             TechniqueRow(
                 technique=technique,
                 run=cell.run,
                 core_migrations=cell.core_migrations,
                 health=cell.health,
             )
-        )
-        metrics.counter("compare.racks").inc()
-    return result
+            for technique, cell in cells
+        ],
+    )

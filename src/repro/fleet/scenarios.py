@@ -44,24 +44,22 @@ from ..experiments.config import ExperimentConfig
 from ..experiments.reporting import format_table, percent
 from ..health import HealthParams
 from ..telemetry.registry import registry as _metrics_registry
-from ..workloads.loadshapes import (
-    ArrivalProcess,
-    ConstantLoad,
-    DiurnalLoad,
-    MergedArrivals,
-    ParetoBurstArrivals,
-    PoissonArrivals,
-    StepLoad,
-    TraceArrivals,
-    synthesize_request_trace,
+from ..workloads.webserver import CONNECTIONS, QOS_GOOD, QOS_TOLERABLE, THINK_TIME
+# ``run_cells`` is not called here (the grid runs its cells), but it
+# stays bound: perfbench's set-up patches it in this module too.
+from .cells import (  # noqa: F401
+    IDLE_QUANTUM,
+    SCENARIO_SHAPES,
+    WARMUP,
+    RackGrid,
+    _FleetRun,
+    run_cells,
 )
-from ..workloads.webserver import QOS_GOOD, QOS_TOLERABLE
-from .cells import rack_cell_spec, run_cells
-from .experiment import _offered_load, _FleetRun
-from .scheduling.registry import POLICY_NAMES
+from .scheduling.registry import check_policy
 
-#: Shape registry order is presentation order in the report.
-SCENARIO_SHAPES = ("constant", "diurnal", "surge", "bursty", "trace")
+#: Rack size by preset, ``(fast, full)``: the grid is the cost driver,
+#: not the rack.
+RACK_MACHINES = (2, 16)
 
 #: Default policy subset for the sweep (the full registry makes the
 #: grid 5x larger for little extra signal; ``--policy`` narrows to one).
@@ -70,68 +68,6 @@ DEFAULT_POLICIES = ("round-robin", "coolest", "migrate")
 #: Default injection probabilities (0 is the per-shape baseline and is
 #: always included even if the caller drops it).
 DEFAULT_P_VALUES = (0.0, 0.4, 0.8)
-
-
-def build_scenario_arrivals(
-    name: str,
-    *,
-    rate: float,
-    duration: float,
-    rng: np.random.Generator,
-) -> ArrivalProcess:
-    """Construct the named shape's arrival process for a rack sized for
-    ``rate`` requests/s aggregate, over a ``duration``-second run.
-
-    ``rng`` is consumed only by the ``trace`` shape (to synthesize the
-    frozen trace); the live shapes draw from the balancer's stream at
-    run time.  Unknown names raise :class:`ConfigurationError` listing
-    the registry.
-    """
-    if name == "constant":
-        return PoissonArrivals(ConstantLoad(rate))
-    if name == "diurnal":
-        # One full day/night cycle compressed into the run: the trough
-        # is where injection gets free headroom, the crest where it
-        # must pay the deferred work back.
-        return PoissonArrivals(
-            DiurnalLoad(rate, amplitude=0.6, period=duration, phase=0.0)
-        )
-    if name == "surge":
-        # Flash crowd: double the nominal rate for the middle fifth.
-        return PoissonArrivals(
-            StepLoad(
-                0.75 * rate,
-                2.0 * rate,
-                start=0.4 * duration,
-                duration=0.2 * duration,
-            )
-        )
-    if name == "bursty":
-        # 70% smooth Poisson baseline + 30% of the load arriving as
-        # Pareto-sized bursts (heavy-tailed bunching).
-        burst_mean = 40.0
-        return MergedArrivals(
-            PoissonArrivals(ConstantLoad(0.7 * rate)),
-            ParetoBurstArrivals(
-                burst_rate=0.3 * rate / burst_mean,
-                mean_burst_size=burst_mean,
-                alpha=1.5,
-                in_burst_rate=max(4.0 * rate, 100.0),
-            ),
-        )
-    if name == "trace":
-        # Freeze a composed diurnal+surge shape into a concrete trace:
-        # every policy/p cell replays bit-identical arrival times.
-        shape = DiurnalLoad(
-            0.7 * rate, amplitude=0.5, period=duration
-        ) + StepLoad(
-            0.0, 0.6 * rate, start=0.5 * duration, duration=0.15 * duration
-        )
-        trace = synthesize_request_trace(rng, duration=duration, shape=shape)
-        return TraceArrivals(trace)
-    raise ConfigurationError(
-        f"unknown load shape {name!r} (known: {', '.join(SCENARIO_SHAPES)})"
-    )
 
 
 @dataclass
@@ -399,8 +335,8 @@ def scenarios_experiment(
     shapes: Optional[Sequence[str]] = None,
     policies: Sequence[str] = DEFAULT_POLICIES,
     p_values: Sequence[float] = DEFAULT_P_VALUES,
-    idle_quantum: float = 0.050,
-    warmup: float = 5.0,
+    idle_quantum: float = IDLE_QUANTUM,
+    warmup: float = WARMUP,
     window: Optional[float] = None,
     policy: Optional[str] = None,
     health_params: Optional[HealthParams] = None,
@@ -430,14 +366,19 @@ def scenarios_experiment(
     drops its row — the frontier of a shape that lost its baseline is
     simply empty.
     """
-    if machines is None:
-        machines = 16 if config.characterization_duration >= 300.0 else 2
-    if duration is None:
-        duration = warmup + config.measure_window + QOS_TOLERABLE
-    score_start, score_end = warmup, duration - QOS_TOLERABLE
+    grid = RackGrid.sized(
+        config,
+        RACK_MACHINES,
+        machines=machines,
+        duration=duration,
+        warmup=warmup,
+        idle_quantum=idle_quantum,
+        health=health_params,
+    )
+    score_start, score_end = warmup, grid.duration - QOS_TOLERABLE
     if score_end <= score_start:
         raise ConfigurationError(
-            f"duration {duration}s leaves no scoring span past the "
+            f"duration {grid.duration}s leaves no scoring span past the "
             f"{warmup}s warmup and {QOS_TOLERABLE}s drain"
         )
     if window is None:
@@ -445,11 +386,7 @@ def scenarios_experiment(
     if policy is not None:
         policies = (policy,)
     for name in policies:
-        if name not in POLICY_NAMES:
-            raise ConfigurationError(
-                f"unknown scheduling policy {name!r} "
-                f"(known: {', '.join(POLICY_NAMES)})"
-            )
+        check_policy(name)
     shapes = tuple(shapes) if shapes is not None else SCENARIO_SHAPES
     p_values = tuple(p_values)
     if 0.0 not in p_values:
@@ -457,55 +394,47 @@ def scenarios_experiment(
 
     # Nominal aggregate rate the rack is sized for (what one balancer
     # feeds round-robin in the plain fleet experiment).
-    connections, think_time = 440, 11.0
-    rate = machines * connections / think_time
+    rate = grid.machines * CONNECTIONS / THINK_TIME
 
-    # One spec per grid cell, grid order = submission order = report
-    # order.  Each cell rebuilds its shape from the registry (the trace
-    # shape resynthesizes the identical frozen trace from the config
-    # seed) and scores its own SLO windows.
-    grid = [
-        (shape_name, policy_name, p)
-        for shape_name in shapes
-        for policy_name in policies
-        for p in p_values
-    ]
-    specs = []
-    for shape_name, policy_name, p in grid:
-        params: dict = dict(
-            machines=machines,
-            duration=duration,
-            warmup=warmup,
-            p=p,
-            idle_quantum=idle_quantum,
-            policy=policy_name,
-            shape=shape_name,
-            rate=rate,
-            health_per_machine=False,
-            slo_window=(score_start, score_end, window),
-        )
-        if health_params is not None:
-            params["health"] = health_params
-        specs.append(rack_cell_spec(config, **params))
-    cells = run_cells(runner, specs)
+    # One cell per (shape, policy, p); grid order = submission order =
+    # report order.  Each cell rebuilds its shape from the registry (the
+    # trace shape resynthesizes the identical frozen trace from the
+    # config seed) and scores its own SLO windows.
+    cells, idle_mean = grid.run(
+        runner,
+        "scenarios",
+        [
+            (
+                (shape_name, policy_name, p),
+                grid.spec(
+                    p,
+                    policy_name,
+                    shape=shape_name,
+                    rate=rate,
+                    health_per_machine=False,
+                    slo_window=(score_start, score_end, window),
+                ),
+            )
+            for shape_name in shapes
+            for policy_name in policies
+            for p in p_values
+        ],
+    )
 
     metrics = _metrics_registry().scope("scenarios")
     result = ScenariosResult(
-        machines=machines,
-        duration=duration,
+        machines=grid.machines,
+        duration=grid.duration,
         warmup=warmup,
         window=window,
         idle_quantum=idle_quantum,
-        idle_mean_temp=0.0,
-        offered_load_per_core=_offered_load(config),
+        idle_mean_temp=idle_mean,
+        offered_load_per_core=grid.offered_load_per_core,
         shapes=list(shapes),
         policies=list(policies),
         p_values=list(p_values),
     )
-    for (shape_name, policy_name, p), cell in zip(grid, cells):
-        if cell is None:
-            continue
-        result.idle_mean_temp = cell.idle_mean_temp
+    for (shape_name, policy_name, p), cell in cells:
         result.rows.append(
             ScenarioRow(
                 shape=shape_name,

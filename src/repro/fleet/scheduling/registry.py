@@ -98,6 +98,16 @@ class PolicyBundle:
         return float(sum(c.stats.time_throttled for c in self.controllers))
 
 
+def check_policy(name: str) -> None:
+    """Raise :class:`ConfigurationError`, listing the registry, unless
+    ``name`` is a registered policy."""
+    if name not in POLICY_NAMES:
+        raise ConfigurationError(
+            f"unknown scheduling policy {name!r} "
+            f"(known: {', '.join(POLICY_NAMES)})"
+        )
+
+
 def build_policy(
     name: str,
     fleet: FleetMachine,
@@ -122,11 +132,7 @@ def build_policy(
     monitors and drains placement weight from critical machines; the
     other policies ignore it.
     """
-    if name not in POLICY_NAMES:
-        raise ConfigurationError(
-            f"unknown scheduling policy {name!r} "
-            f"(known: {', '.join(POLICY_NAMES)})"
-        )
+    check_policy(name)
     if name == "alert-reactive" and health is None:
         raise ConfigurationError(
             "the alert-reactive policy needs the rack's health monitors "

@@ -42,6 +42,14 @@ from .loadshapes import ArrivalProcess
 QOS_GOOD = 3.0
 QOS_TOLERABLE = 5.0
 
+#: Default server sizing (§3.7): 440 connections, and a think time
+#: chosen to land at 15–25 % per-core load.
+CONNECTIONS = 440
+THINK_TIME = 11.0
+#: Default mean service demand and per-request kernel overhead, seconds.
+SERVICE_MEAN = 0.025
+KERNEL_OVERHEAD = 0.0002
+
 
 @dataclass
 class Request:
@@ -165,11 +173,11 @@ class WebServer:
         scheduler: Scheduler,
         rng: np.random.Generator,
         *,
-        connections: int = 440,
-        think_time: float = 11.0,
-        service_mean: float = 0.025,
+        connections: int = CONNECTIONS,
+        think_time: float = THINK_TIME,
+        service_mean: float = SERVICE_MEAN,
         service_sigma: float = 0.6,
-        kernel_overhead: float = 0.0002,
+        kernel_overhead: float = KERNEL_OVERHEAD,
         num_workers: int = 8,
         external_arrivals: bool = False,
         arrival_process: Optional[ArrivalProcess] = None,

@@ -1,15 +1,23 @@
 """Tests for the command-line interface."""
 
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import (
     EXPERIMENTS,
+    Experiment,
     build_parser,
+    given_flags,
     main,
     make_runner,
     run_experiment,
-    supports_runner,
+    validate_flags,
 )
+from repro.errors import ConfigurationError
+from repro.health import HealthParams
 
 
 def test_experiment_registry_covers_every_figure_and_table():
@@ -49,10 +57,27 @@ def test_batch_experiments_accept_a_runner():
         "fleet-compare",
         "scenarios",
     )
-    for name in batch:
-        assert supports_runner(EXPERIMENTS[name][1]), name
-    for name in ("fig1", "fig2", "fig5", "fig6"):
-        assert not supports_runner(EXPERIMENTS[name][1]), name
+    assert {name for name, entry in EXPERIMENTS.items() if entry.batch} == set(batch)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_experiment_table_matches_function_signatures(name):
+    """The table declares each flag group exactly when the function
+    takes the keyword the group reaches it through."""
+    entry = EXPERIMENTS[name]
+    parameters = inspect.signature(entry.func).parameters
+    assert entry.batch == ("runner" in parameters)
+    assert entry.policy == ("policy" in parameters)
+    assert entry.health == ("health_params" in parameters)
+
+
+def test_docs_batch_list_matches_the_table():
+    docs = Path(__file__).resolve().parents[1] / "docs"
+    text = (docs / "running-experiments.md").read_text()
+    match = re.search(r"with `\[batch\]`:\s+\*\*([^*]+)\*\*", text)
+    assert match, "docs/running-experiments.md lost its bold batch list"
+    documented = {name.strip() for name in match.group(1).split(",")}
+    assert documented == {name for name, entry in EXPERIMENTS.items() if entry.batch}
 
 
 def test_parser_rejects_unknown_experiment():
@@ -106,12 +131,86 @@ def test_resume_and_cache_flags_rejected_for_single_machine(capsys, tmp_path):
 
 
 def test_batch_flags_validator_exempts_all_and_batch_experiments():
-    from repro.cli import validate_batch_flags
+    parser = build_parser()
+    args = parser.parse_args(["all", "--jobs", "4", "--keep-going"])
+    # `all` mixes both kinds: allowed.
+    assert validate_flags("all", given_flags(parser, args)) == sorted(EXPERIMENTS)
+    args = parser.parse_args(["scenarios", "--jobs", "4", "--resume"])
+    # A batch experiment: allowed.
+    assert validate_flags("scenarios", given_flags(parser, args)) == ["scenarios"]
 
-    args = build_parser().parse_args(["all", "--jobs", "4", "--keep-going"])
-    validate_batch_flags("all", args)  # mixes both kinds: allowed
-    args = build_parser().parse_args(["scenarios", "--jobs", "4", "--resume"])
-    validate_batch_flags("scenarios", args)  # batch experiment: allowed
+
+#: One representative flag per declared group.
+GROUP_FLAGS = {
+    "batch": ["--jobs", "2"],
+    "policy": ["--policy", "coolest"],
+    "health": ["--health-period", "0.5"],
+}
+
+
+@pytest.mark.parametrize(
+    "name,group",
+    [
+        (name, group)
+        for name in sorted(EXPERIMENTS)
+        for group in GROUP_FLAGS
+        if not getattr(EXPERIMENTS[name], group)
+    ],
+)
+def test_undeclared_flag_is_exit_2(name, group, capsys):
+    flag = GROUP_FLAGS[group]
+    assert main([name, *flag]) == 2
+    captured = capsys.readouterr()
+    assert f"error: {flag[0]}" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
+def test_every_undeclared_flag_is_named_at_once(capsys):
+    assert main(["fig1", "--jobs", "2", "--policy", "coolest"]) == 2
+    err = capsys.readouterr().err
+    assert "--jobs" in err and "--policy" in err
+
+
+def test_all_accepts_any_declared_flag():
+    parser = build_parser()
+    for flag in GROUP_FLAGS.values():
+        args = parser.parse_args(["all", *flag])
+        assert validate_flags("all", given_flags(parser, args)) == sorted(EXPERIMENTS)
+
+
+def test_all_applies_a_flag_only_where_declared(monkeypatch, tmp_path, capsys):
+    from repro import cli
+
+    seen = {}
+
+    def stub(name):
+        def run(config, **kwargs):
+            seen[name] = kwargs
+
+            class Result:
+                def render(self):
+                    return name
+
+            return Result()
+
+        return run
+
+    monkeypatch.setattr(
+        cli,
+        "EXPERIMENTS",
+        {
+            "plain": Experiment("takes nothing", stub("plain")),
+            "placed": Experiment("takes a policy", stub("placed"), policy=True),
+        },
+    )
+    monkeypatch.chdir(tmp_path)  # keep the default cache dir out of the tree
+    assert main(["all", "--policy", "coolest"]) == 0
+    assert seen == {"plain": {}, "placed": {"policy": "coolest"}}
+
+
+def test_run_experiment_rejects_undeclared_health_params():
+    with pytest.raises(ConfigurationError, match="health_params"):
+        run_experiment("fig1", seed=0, health_params=HealthParams())
 
 
 def test_smoke_experiment_uses_cache_on_second_run(capsys, tmp_path):
@@ -263,8 +362,6 @@ def test_make_runner_builds_retry_policy_and_fault_plan(tmp_path):
 
 
 def test_make_runner_rejects_bad_robustness_flags(tmp_path):
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         make_runner(max_retries=-1)
     with pytest.raises(ConfigurationError):
@@ -383,8 +480,6 @@ def test_policy_flag_rejected_for_non_fleet_experiments(capsys):
 
 
 def test_run_experiment_rejects_policy_for_non_fleet():
-    from repro.errors import ConfigurationError
-
     with pytest.raises(ConfigurationError):
         run_experiment("fig1", seed=0, policy="coolest")
 
@@ -466,11 +561,7 @@ def test_health_params_from_args_builds_override_only_when_flagged():
 
 
 def test_supports_health_covers_monitored_experiments():
-    from repro.cli import supports_health
-
-    monitored = {
-        name for name, (_, func) in EXPERIMENTS.items() if supports_health(func)
-    }
+    monitored = {name for name, entry in EXPERIMENTS.items() if entry.health}
     assert monitored == {"fig2", "fleet", "fleet-compare", "scenarios"}
 
 

@@ -4,7 +4,7 @@ balancer, telemetry additivity, and the CLI experiment."""
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, supports_runner
+from repro.cli import EXPERIMENTS
 from repro.cpu.power import FleetCoefficients, PowerCoefficients
 from repro.errors import ConfigurationError
 from repro.experiments import Machine, fast_config
@@ -234,10 +234,9 @@ def test_fleet_telemetry_counts_chip_substeps_additively():
 # The CLI experiment
 # ======================================================================
 def test_fleet_experiment_registered_as_batch():
-    assert "fleet" in EXPERIMENTS
-    _, func = EXPERIMENTS["fleet"]
-    assert func is fleet_experiment
-    assert supports_runner(func)
+    entry = EXPERIMENTS["fleet"]
+    assert entry.func is fleet_experiment
+    assert entry.batch
 
 
 def test_fleet_experiment_smoke():
@@ -383,7 +382,6 @@ def test_fleet_compare_experiment_smoke():
 
 
 def test_fleet_compare_registered_as_batch():
-    assert "fleet-compare" in EXPERIMENTS
-    _, func = EXPERIMENTS["fleet-compare"]
-    assert func is fleet_compare_experiment
-    assert supports_runner(func)
+    entry = EXPERIMENTS["fleet-compare"]
+    assert entry.func is fleet_compare_experiment
+    assert entry.batch

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.cli import EXPERIMENTS, run_experiment, supports_policy
+from repro.cli import EXPERIMENTS, Experiment, run_experiment
 from repro.errors import ConfigurationError
 from repro.experiments import fast_config
 from repro.fleet import (
@@ -162,8 +162,8 @@ def test_experiment_validates_inputs():
 # CLI integration
 # ----------------------------------------------------------------------
 def test_scenarios_is_registered_and_takes_a_policy():
-    assert "scenarios" in EXPERIMENTS
-    assert supports_policy(EXPERIMENTS["scenarios"][1])
+    assert EXPERIMENTS["scenarios"].func is scenarios_experiment
+    assert EXPERIMENTS["scenarios"].policy
 
 
 def test_run_experiment_collects_manifest_payload(monkeypatch):
@@ -177,7 +177,7 @@ def test_run_experiment_collects_manifest_payload(monkeypatch):
             return {"answer": 42}
 
     monkeypatch.setitem(
-        cli.EXPERIMENTS, "dummy", ("a stub", lambda config: DummyResult())
+        cli.EXPERIMENTS, "dummy", Experiment("a stub", lambda config: DummyResult())
     )
     artifacts = {}
     text = run_experiment("dummy", seed=0, artifacts=artifacts)

@@ -65,25 +65,16 @@ def profile_cell(cell: str, *, seed: int = 0, full: bool = False) -> pstats.Stat
     executed in-process so every simulated event is in the profile.
     """
     from repro.experiments import fast_config, full_config
-    from repro.fleet.compare import technique_specs
+    from repro.fleet.cells import INJECTION_P, RackGrid
+    from repro.fleet.compare import RACK_MACHINES, technique_specs
     from repro.runtime.parallel import execute_spec
-    from repro.workloads.webserver import QOS_TOLERABLE
 
     config = full_config(seed) if full else fast_config(seed)
-    warmup = 5.0
-    roster, specs = technique_specs(
-        config,
-        machines=64 if config.characterization_duration >= 300.0 else 4,
-        duration=warmup + config.measure_window + QOS_TOLERABLE,
-        warmup=warmup,
-        p=0.65,
-        idle_quantum=0.050,
-    )
-    by_name = {t.name: spec for t, spec in zip(roster, specs)}
+    cells = technique_specs(RackGrid.sized(config, RACK_MACHINES), INJECTION_P)
+    by_name = {technique.name: spec for technique, spec in cells}
     if cell not in by_name:
         raise ConfigurationError(
-            f"unknown technique cell {cell!r} "
-            f"(known: {', '.join(t.name for t in roster)})"
+            f"unknown technique cell {cell!r} (known: {', '.join(by_name)})"
         )
     profiler = cProfile.Profile()
     profiler.enable()
