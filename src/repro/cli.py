@@ -447,14 +447,15 @@ def run_experiment(
         elapsed = time.time() - started
         executed = runner.metrics.executed - executed_before
         hits = runner.metrics.cache_hits - hits_before
-        status = (
-            f"[{name}: {elapsed:.1f}s wall | runs: {executed} executed, "
-            f"{hits} cached | jobs={runner.jobs}]"
-        )
+        notes = [f"runs: {executed} executed, {hits} cached", f"jobs={runner.jobs}"]
     else:
         result = entry.func(config, **kwargs)
         elapsed = time.time() - started
-        status = f"[{name}: {elapsed:.1f}s wall]"
+        notes = []
+    rate = getattr(result, "chip_substeps_per_s", None)
+    if rate is not None:
+        notes.append(f"physics {_rate(rate)} chip-substeps/s")
+    status = f"[{name}: " + " | ".join([f"{elapsed:.1f}s wall", *notes]) + "]"
     if timings is not None:
         timings[name] = elapsed
     if artifacts is not None and hasattr(result, "manifest_payload"):
@@ -462,6 +463,12 @@ def run_experiment(
     if health is not None and hasattr(result, "health_payload"):
         health[name] = result.health_payload()
     return f"{result.render()}\n{status}"
+
+
+def _rate(per_second: float) -> str:
+    if per_second >= 1e6:
+        return f"{per_second / 1e6:.1f}M"
+    return f"{per_second / 1e3:.0f}k"
 
 
 def build_manifest(

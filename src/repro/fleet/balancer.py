@@ -15,10 +15,11 @@ and subclasses supply :meth:`Balancer.select`.
 - :class:`~repro.fleet.scheduling.ThermalBalancer`
   (``repro.fleet.scheduling``) routes by per-machine temperature.
 
-Routing goes through the target node's
-:class:`~repro.fleet.machine._NodeSimView` (a zero-delay scheduled
-callback), so the node's physics gap closes before the request mutates
-its queues — arrivals are node events like any other.
+Each arrival is one event on the fleet's simulator: it picks the
+machine, closes that node's physics gap, hands the request to the
+node's server and schedules the next arrival.  Closing the gap first
+records the node's power pieces up to the arrival instant before the
+request mutates its queues, just as a node's own events do.
 
 Telemetry: ``fleet.balancer.routed`` counts total dispatches and
 ``fleet.placement.m<j>`` counts arrivals per machine; the per-machine
@@ -32,7 +33,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..sim.process import Process
+from ..sim.engine import Event
 from ..telemetry.registry import registry as _metrics_registry
 from ..workloads.loadshapes import ArrivalProcess
 from ..workloads.webserver import WebServer
@@ -98,7 +99,11 @@ class Balancer:
         self._metric_placement = [
             scope.counter(f"placement.m{j}") for j in range(len(self.servers))
         ]
-        self._process = Process(fleet.sim, self._arrival_loop())
+        self._gaps = self._gap_stream()
+        #: The next arrival's event, ``None`` once the stream ends or
+        #: :meth:`stop` runs.
+        self._pending: Optional[Event] = None
+        self._schedule_next()
 
     def select(self) -> int:
         """The machine index receiving the arrival that just fired."""
@@ -113,22 +118,25 @@ class Balancer:
         else:
             yield from self.arrivals.gaps(self._rng)
 
-    def _arrival_loop(self):
-        for gap in self._gap_stream():
-            yield gap
-            index = self.select()
-            # Zero-delay hop through the node's sim view: the node's
-            # physics gap closes before the server sees the request.
-            self.fleet.nodes[index].sim.schedule(
-                0.0, self.servers[index].submit_request
-            )
-            self.routed[index] += 1
-            self._metric_routed.inc()
-            self._metric_placement[index].inc()
+    def _schedule_next(self) -> None:
+        gap = next(self._gaps, None)
+        self._pending = None if gap is None else self.fleet.sim.schedule(gap, self._arrive)
+
+    def _arrive(self) -> None:
+        index = self.select()
+        self.fleet._close_gap(index)
+        self.servers[index].submit_request()
+        self.routed[index] += 1
+        self._metric_routed.inc()
+        self._metric_placement[index].inc()
+        self._schedule_next()
 
     def stop(self) -> None:
         """Stop generating arrivals."""
-        self._process.stop()
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
+        self._gaps.close()
 
     @property
     def total_routed(self) -> int:

@@ -143,7 +143,14 @@ class Simulator:
             event = heapq.heappop(self._heap)[2]
             if event.cancelled:
                 continue
-            self._dispatch(event)
+            start = self._now
+            self._advance_clock(event.time)
+            event.dispatched = True
+            self._event_count += 1
+            try:
+                event.callback(*event.args)
+            finally:
+                self._publish(start, 1)
             return True
         return False
 
@@ -157,14 +164,19 @@ class Simulator:
         Each dispatched event costs exactly one ``heappop``: the loop
         inspects the heap head in place instead of going through
         :meth:`peek_next_time` (which pops cancelled entries) and then
-        popping again in :meth:`step`.
+        popping again in :meth:`step`.  The dispatch itself is inlined,
+        and the ``sim.engine`` counters are published once per call,
+        even if a callback raises; :attr:`event_count` stays exact
+        throughout.
         """
         if self._running:
             raise SimulationError("simulator is already running (re-entrant run())")
         self._running = True
+        start, dispatched = self._now, self._event_count
         try:
             with self._metric_run_wall.time():
                 heap, heappop = self._heap, heapq.heappop
+                listeners = self._advance_listeners
                 while heap:
                     time, _, event = heap[0]
                     if event.cancelled:
@@ -173,7 +185,16 @@ class Simulator:
                     if until is not None and time > until:
                         break
                     heappop(heap)
-                    self._dispatch(event)
+                    # schedule_at never queues before the clock, so an
+                    # event's time is now or later.
+                    now = self._now
+                    if time != now:
+                        for listener in listeners:
+                            listener(now, time)
+                        self._now = time
+                    event.dispatched = True
+                    self._event_count += 1
+                    event.callback(*event.args)
                 if until is not None:
                     if until < self._now:
                         raise SimulationError(
@@ -182,25 +203,23 @@ class Simulator:
                     self._advance_clock(until)
         finally:
             self._running = False
+            self._publish(start, self._event_count - dispatched)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _dispatch(self, event: Event) -> None:
-        """Advance the clock to an event (already popped) and fire it."""
-        self._advance_clock(event.time)
-        event.dispatched = True
-        self._event_count += 1
-        self._metric_events.inc()
-        event.callback(*event.args)
-
     def _advance_clock(self, new_time: float) -> None:
         if new_time < self._now:
             raise SimulationError("clock went backwards")
         if new_time == self._now:
             return
         old = self._now
-        self._metric_virtual_time.inc(new_time - old)
         for listener in self._advance_listeners:
             listener(old, new_time)
         self._now = new_time
+
+    def _publish(self, start: float, events: int) -> None:
+        """Add ``events`` dispatches and the clock's advance since
+        ``start`` to the ``sim.engine`` counters."""
+        self._metric_events.inc(events)
+        self._metric_virtual_time.inc(self._now - start)

@@ -38,9 +38,10 @@ The integrator has two equivalent paths:
   Python power callback re-evaluated per substep plus a
   ``steady_state`` solve.
 - :meth:`ThermalIntegrator.advance_coefficients` — the fused fast
-  path (:func:`fused_substeps`): per substep one gemv plus one
-  vectorized exponential into preallocated buffers, no allocation and
-  no per-core Python work.
+  path (:class:`ChipAdvance`): the advance's one kernel is written into
+  a preallocated buffer (:meth:`ThermalNetwork.kernel_into`), then per
+  substep one gemv plus one vectorized exponential into loop views
+  built once per integrator, no per-core Python work.
 
 :class:`FleetThermalIntegrator` generalizes the fused path to ``N``
 independent copies of one network (a rack of identical servers): the
@@ -51,6 +52,8 @@ interval, and so its substep length, differs.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -208,16 +211,31 @@ class ThermalNetwork:
 
     def step_kernel(self, h: float) -> StepKernel:
         """The fused substep kernel for step length ``h``:
-        ``step_kernels([h])[0]`` with its three blocks as views into
-        ``fused``."""
+        :meth:`kernel_into` a fresh buffer, with its three blocks as
+        views into ``fused``."""
         n = self.num_nodes
-        fused = self.step_kernels([h])[0]
+        flat = self.kernel_into(h, np.empty((1, n * (2 * n + 1))))
+        fused = flat.reshape(n, 2 * n + 1)
         return StepKernel(
             propagator=fused[:, :n],
             inject=fused[:, n : 2 * n],
             ambient_shift=fused[:, 2 * n],
             fused=fused,
         )
+
+    def kernel_into(self, h: float, out: np.ndarray) -> np.ndarray:
+        """Write the fused kernel for step length ``h`` into ``out``, a
+        ``(1, nodes·(2·nodes+1))`` float array, and return ``out``.
+
+        This is ``step_kernels([h])`` flattened, bit for bit, without
+        its array set-up: the same 1e-9 s quantisation on a Python float
+        (``round`` and ``np.rint`` both round half to even) and the
+        same gemm operand shapes and order.
+        """
+        quantised = round(h * 1e9) / 1e9
+        weights = np.expm1(quantised * self._neg_rates)
+        np.matmul(weights[None, :], self._neg_modal, out=out)
+        return np.add(self._modal_base, out, out=out)
 
     def step_kernels(self, steps: Sequence[float]) -> np.ndarray:
         """Fused kernels for ``K`` step lengths at once, shape
@@ -243,6 +261,14 @@ class AdvanceResult:
     average_power: float
 
 
+def substep_count(duration: float, max_substep: float) -> int:
+    """Substeps an advance of ``duration`` seconds is cut into:
+    ``ceil(duration / max_substep)``, at least one.  The 1e-12 slack
+    keeps a duration that is a whole multiple of ``max_substep`` up to
+    rounding from gaining a step."""
+    return max(1, math.ceil(duration / max_substep - 1e-12))
+
+
 def substep_buffers(nodes: int, *width: int) -> Tuple[np.ndarray, ...]:
     """Work buffers for the fused substep loops: two stacked ``[T; P; 1]``
     state blocks of shape ``(2·nodes+1, *width)`` that the loop
@@ -255,34 +281,38 @@ def substep_buffers(nodes: int, *width: int) -> Tuple[np.ndarray, ...]:
     return state_a, state_b, np.empty((nodes, *width))
 
 
+def substep_views(nodes: int) -> Tuple[np.ndarray, ...]:
+    """The single-chip loop's operands, sliced once from fresh
+    :func:`substep_buffers`: ``(state, temps, power, other, other_temps,
+    other_power, acc)``, the two ``[T, P, 1]`` vectors with their ``T``
+    and ``P`` views, then the per-node power accumulator."""
+    n = nodes
+    state, other, acc = substep_buffers(n)
+    return state, state[:n], state[n : 2 * n], other, other[:n], other[n : 2 * n], acc
+
+
 def fused_substeps(
     fused: np.ndarray,
     n_steps: int,
     temps: np.ndarray,
     base: np.ndarray,
     terms: Tuple[float, float, np.ndarray],
-    buffers: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    views: Tuple[np.ndarray, ...],
 ) -> Tuple[np.ndarray, float]:
     """The fused single-chip substep loop: ``n_steps`` substeps of the
     ``(nodes, 2·nodes+1)`` kernel ``fused`` from ``temps`` (°C) under
     ``P = base + scaled_coef * exp(min(T * inv_slope, arg_cap))``,
     ``terms`` being :meth:`~repro.cpu.power.PowerCoefficients.fused_terms`.
 
-    ``buffers`` is ``(state, other, acc)``: two contiguous ``[T, P, 1]``
+    ``views`` is :func:`substep_views`: two contiguous ``[T, P, 1]``
     vectors (last entry 1.0) the loop ping-pongs between, one gemv per
     substep, and a per-node power accumulator.  Returns a view of the
     end temperatures inside a buffer (copy before the next call) and
     the power summed over substeps (W; times the step length, J).
-
-    The single-machine integrator and a fleet's one-machine cohort both
-    run this one loop, which makes a fleet of one bit-identical to a
-    standalone machine.  It touches no telemetry.
+    It touches no telemetry.
     """
     inv_slope, arg_cap, scaled_coef = terms
-    state, other, acc = buffers
-    n = temps.shape[0]
-    s_temps, s_power = state[:n], state[n : 2 * n]
-    o_temps, o_power = other[:n], other[n : 2 * n]
+    state, s_temps, s_power, other, o_temps, o_power, acc = views
     s_temps[:] = temps
     acc.fill(0.0)
     multiply, minimum, add, vexp, dot = np.multiply, np.minimum, np.add, np.exp, np.dot
@@ -298,6 +328,48 @@ def fused_substeps(
         state, other = other, state
         s_temps, s_power, o_temps, o_power = o_temps, o_power, s_temps, s_power
     return s_temps, float(acc.sum())
+
+
+class ChipAdvance:
+    """One chip's fused advance on ``network``, with everything an
+    advance needs allocated once: the kernel buffer
+    :meth:`ThermalNetwork.kernel_into` writes and the
+    :func:`substep_views` :func:`fused_substeps` runs on.
+
+    Calling it advances ``temps`` (°C) by ``duration`` seconds (> 0)
+    under one coefficient set, cut into :func:`substep_count` equal
+    substeps, and returns ``(end temps, energy J, substeps)``; the end
+    temperatures are a view into a work buffer (copy before the next
+    call).  The single-machine integrator and a fleet's one-machine
+    cohort both advance through it, which makes a fleet of one
+    bit-identical to a standalone machine.
+    """
+
+    __slots__ = ("network", "max_substep", "_kernel", "_fused", "_views")
+
+    def __init__(self, network: ThermalNetwork, max_substep: float):
+        n = network.num_nodes
+        self.network = network
+        self.max_substep = max_substep
+        self._kernel = np.empty((1, n * (2 * n + 1)))
+        self._fused = self._kernel.reshape(n, 2 * n + 1)
+        self._views = substep_views(n)
+
+    def __call__(
+        self, temps: np.ndarray, duration: float, coefficients: "PowerCoefficients"
+    ) -> Tuple[np.ndarray, float, int]:
+        n_steps = substep_count(duration, self.max_substep)
+        h = duration / n_steps
+        self.network.kernel_into(h, self._kernel)
+        end, power_sum = fused_substeps(
+            self._fused,
+            n_steps,
+            temps,
+            coefficients.base,
+            coefficients.fused_terms(),
+            self._views,
+        )
+        return end, power_sum * h, n_steps
 
 
 class ThermalIntegrator:
@@ -335,14 +407,14 @@ class ThermalIntegrator:
                 raise ConfigurationError("initial temperature vector has wrong length")
         # Preallocated work vectors for the fused path.
         self._power_buffer = np.empty(network.num_nodes)
-        self._buffers = substep_buffers(network.num_nodes)
+        self._chip = ChipAdvance(network, self.max_substep)
 
     def _substeps(self, duration: float) -> Tuple[int, float]:
-        """``duration`` cut into ``ceil(duration / max_substep)`` equal
-        substeps, as ``(count, length)``; counts the advance."""
+        """``duration`` cut into :func:`substep_count` equal substeps,
+        as ``(count, length)``; counts the advance."""
         if duration < 0:
             raise ConfigurationError(f"cannot integrate a negative duration {duration}")
-        n_steps = max(1, int(np.ceil(duration / self.max_substep - 1e-12)))
+        n_steps = substep_count(duration, self.max_substep)
         self._metric_advances.inc()
         self._metric_substeps.inc(n_steps)
         return n_steps, duration / n_steps
@@ -396,27 +468,25 @@ class ThermalIntegrator:
             average (W); :attr:`temps` holds the end-of-interval node
             temperatures (°C).
 
-        The substeps run in :func:`fused_substeps`: no Python per-core
-        loop, no ``steady_state`` solve, no allocation.  Numerically
-        equivalent to :meth:`advance` with the matching power callback
-        (same propagator, algebraically identical update).
+        The substeps run in :class:`ChipAdvance`: no Python per-core
+        loop, no ``steady_state`` solve, and the kernel and loop work
+        vectors are preallocated.  Numerically equivalent to
+        :meth:`advance` with the matching power callback (same
+        propagator, algebraically identical update).
         """
-        if duration == 0:
+        if duration <= 0:
+            if duration < 0:
+                raise ConfigurationError(
+                    f"cannot integrate a negative duration {duration}"
+                )
             power = coefficients.evaluate(self.temps, out=self._power_buffer)
             return AdvanceResult(energy=0.0, average_power=float(power.sum()))
 
-        n_steps, h = self._substeps(duration)
+        temps, energy, n_steps = self._chip(self.temps, duration, coefficients)
+        self._metric_advances.inc()
+        self._metric_substeps.inc(n_steps)
         self._metric_fused_advances.inc()
-        temps, power_sum = fused_substeps(
-            self.network.step_kernel(h).fused,
-            n_steps,
-            self.temps,
-            coefficients.base,
-            coefficients.fused_terms(),
-            self._buffers,
-        )
         self.temps = temps.copy()
-        energy = power_sum * h
         return AdvanceResult(energy=energy, average_power=energy / duration)
 
     def settle(
@@ -479,18 +549,19 @@ class FleetThermalIntegrator:
 
     Equivalence guarantees, relied on by the fleet tests:
 
-    - a cohort of one machine (``K = 1``) runs :func:`fused_substeps`,
-      the same function :meth:`ThermalIntegrator.advance_coefficients`
-      runs, with the same kernel, so a fleet of one machine reproduces
-      a standalone machine bit for bit;
+    - a cohort of one machine (``K = 1``) skips the cohort set-up and
+      advances through a :class:`ChipAdvance`, the very code
+      :meth:`ThermalIntegrator.advance_coefficients` runs, with the
+      same substep count, kernel and loop, so a fleet of one machine
+      reproduces a standalone machine bit for bit by construction;
     - for ``K > 1`` the cohort accumulates in a different order than K
       gemvs, so per-substep results agree to float rounding (not
       bitwise); over any simulated horizon the accumulated difference
       stays far below the repo-wide 1e-9 °C equivalence pin because
       the propagator is a contraction.
 
-    Substep lengths come from the same ``ceil(duration / max_substep)``
-    rule as the single-chip integrator, per column.
+    Substep counts come from the single-chip integrator's
+    :func:`substep_count` rule, per column.
 
     Telemetry (``fleet`` scope): ``machines`` gauge, ``substeps``
     counter in *chip-substeps* (the sum of every column's substeps per
@@ -532,9 +603,10 @@ class FleetThermalIntegrator:
         self._metric_substeps = scope.counter("substeps")
         self._metric_batched_advances = scope.counter("batched_advances")
         self._metric_advance_wall = scope.timer("advance_wall")
-        # substep_buffers per cohort width K (widths repeat heavily, so
-        # this is a handful of entries).
+        # substep_buffers per cohort width K > 1 (widths repeat heavily,
+        # so this is a handful of entries).
         self._scratch: dict = {}
+        self._chip = ChipAdvance(network, self.max_substep)
 
     # ------------------------------------------------------------------
     def _cohort_scratch(self, width: int):
@@ -575,40 +647,51 @@ class FleetThermalIntegrator:
         count = len(machines)
         if count == 0:
             return np.empty(0)
-        durations = np.asarray(duration, dtype=float)
-        if durations.ndim == 0:
-            durations = np.full(count, durations)
-        if durations.shape != (count,) or not (durations > 0).all():
-            raise ConfigurationError(
-                f"cohort advance needs {count} positive durations, got {duration}"
-            )
         if coefficients.num_machines != count:
             raise ConfigurationError(
                 f"coefficient stack is {coefficients.num_machines} machines "
                 f"wide, cohort has {count}"
             )
-        with self._metric_advance_wall.time():
+        if count == 1:
+            try:
+                (seconds,) = duration
+            except TypeError:  # one scalar duration
+                seconds = duration
+            except ValueError:  # a sequence of the wrong length
+                seconds = math.nan
+            if not seconds > 0:
+                raise ConfigurationError(
+                    f"cohort advance needs 1 positive durations, got {duration}"
+                )
+        else:
+            durations = np.asarray(duration, dtype=float)
+            if durations.ndim == 0:
+                durations = np.full(count, durations)
+            if durations.shape != (count,) or not (durations > 0).all():
+                raise ConfigurationError(
+                    f"cohort advance needs {count} positive durations, got {duration}"
+                )
+        started = time.perf_counter()
+        try:
+            if count == 1:
+                # A cohort of one runs the single-chip advance on the
+                # machine's own coefficient set.
+                machine = machines[0]
+                temps, energy, n_steps = self._chip(
+                    self.temps[machine], float(seconds), coefficients.sources[0]
+                )
+                self.temps[machine] = temps
+                self._metric_substeps.inc(n_steps)
+                self._metric_batched_advances.inc()
+                return np.array([energy])
             n_steps = np.maximum(np.ceil(durations / self.max_substep - 1e-12), 1.0)
             n_steps = n_steps.astype(np.intp)
             steps = durations / n_steps
             self._metric_substeps.inc(int(n_steps.sum()))
             self._metric_batched_advances.inc()
-            if count == 1:
-                # A cohort of one runs the single-chip loop on the
-                # machine's own coefficient set.
-                machine, source = machines[0], coefficients.sources[0]
-                h = float(steps[0])
-                temps, power_sum = fused_substeps(
-                    self.network.step_kernel(h).fused,
-                    int(n_steps[0]),
-                    self.temps[machine],
-                    source.base,
-                    source.fused_terms(),
-                    tuple(b[:, 0] for b in self._cohort_scratch(1)),
-                )
-                self.temps[machine] = temps
-                return np.array([power_sum * h])
             return self._advance_cohort(machines, n_steps, steps, coefficients)
+        finally:
+            self._metric_advance_wall.add(time.perf_counter() - started)
 
     def _advance_cohort(self, machines, n_steps, steps, coefficients) -> np.ndarray:
         """The K>1 substep loop.  Columns are sorted by ``n_steps``

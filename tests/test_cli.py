@@ -611,6 +611,9 @@ def test_fleet_manifest_carries_health_section(tmp_path, capsys):
     )
     out = capsys.readouterr().out
     assert "alerts" in out and "crit [s]" in out
+    # The wall-clock physics rate is on the status line, not in the table.
+    table, status = out.rstrip("\n").rsplit("\n", 1)
+    assert "chip-substeps/s" in status and "chip-substeps" not in table
     manifest = RunManifest.load(manifest_path)
     health = manifest.health["fleet"]
     assert set(health) == {"baseline", "dimetrodon"}

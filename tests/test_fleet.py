@@ -20,6 +20,8 @@ from repro.health import HealthParams
 from repro.sim.rng import RngRegistry
 from repro.telemetry.registry import isolated
 from repro.workloads import CpuBurn
+from repro.workloads.loadshapes import TraceArrivals
+from repro.workloads.traces import RequestTrace
 from repro.workloads.webserver import Request, WebServer
 
 
@@ -185,6 +187,84 @@ def test_round_robin_balancer_spreads_requests_evenly():
         assert len(server.log.requests) == routed
 
 
+def _web_rack(machines, balancer_cls=RoundRobinBalancer, **kwargs):
+    cfg = fast_config(0)
+    fleet = FleetMachine(cfg, machines=machines)
+    servers = [
+        WebServer(node.scheduler, node.rng.stream("web"), external_arrivals=True)
+        for node in fleet.nodes
+    ]
+    kwargs.setdefault("rate", machines * servers[0].arrival_rate)
+    balancer = balancer_cls(
+        fleet, servers, rng=RngRegistry(cfg.seed).stream("fleet-balancer"), **kwargs
+    )
+    return fleet, servers, balancer
+
+
+class _HopBalancer(RoundRobinBalancer):
+    """Routes each arrival through a zero-delay event on the node's sim
+    view, which closes the node's physics gap before the request lands:
+    two events per arrival instead of one."""
+
+    def _arrive(self):
+        index = self.select()
+        self.fleet.nodes[index].sim.schedule(0.0, self.servers[index].submit_request)
+        self.routed[index] += 1
+        self._metric_routed.inc()
+        self._metric_placement[index].inc()
+        self._schedule_next()
+
+
+def test_one_event_arrivals_match_the_hop_and_save_one_event_each():
+    """An arrival is one event: the rack simulates exactly what routing
+    through a zero-delay node hop simulates, bit for bit, with one event
+    fewer per routed request.  The per-machine placement counters sum to
+    fleet.balancer.routed."""
+    runs = []
+    for cls in (RoundRobinBalancer, _HopBalancer):
+        with isolated() as reg:
+            fleet, servers, balancer = _web_rack(3, cls)
+            fleet.run(4.0)
+            balancer.stop()
+            routed = reg.value("fleet.balancer.routed")
+            placed = [reg.value(f"fleet.placement.m{j}", 0) for j in range(3)]
+            assert sum(placed) == routed == balancer.total_routed > 0
+            assert placed == balancer.routed
+            runs.append((fleet, servers, routed, reg.value("sim.engine.events")))
+    (direct, direct_servers, routed, direct_events), (hop, hop_servers, _, hop_events) = runs
+    assert hop_events - direct_events == routed
+    assert np.array_equal(direct.integrator.temps, hop.integrator.temps)
+    assert direct.total_energy() == hop.total_energy()
+    for a, b in zip(direct_servers, hop_servers):
+        assert [(r.arrival, r.completed) for r in a.log.requests] == [
+            (r.arrival, r.completed) for r in b.log.requests
+        ]
+
+
+def test_balancer_stop_cancels_the_pending_arrival():
+    fleet, servers, balancer = _web_rack(2)
+    fleet.run(2.0)
+    pending = balancer._pending
+    assert pending is not None and pending.pending
+    routed = balancer.total_routed
+    balancer.stop()
+    assert not pending.pending and balancer._pending is None
+    fleet.run(2.0)
+    assert balancer.total_routed == routed
+    balancer.stop()  # idempotent
+
+
+def test_finite_trace_arrivals_end_cleanly():
+    gaps = [0.25, 0.0, 0.5, 0.125]
+    arrivals = TraceArrivals(RequestTrace.from_gaps(gaps))
+    fleet, servers, balancer = _web_rack(2, rate=10.0, arrivals=arrivals)
+    fleet.run(3.0)
+    assert balancer.total_routed == len(gaps)
+    assert balancer._pending is None
+    assert [r.arrival for s in servers for r in s.log.requests] == [0.25, 0.75, 0.25, 0.875]
+    balancer.stop()
+
+
 def test_balancer_validates_inputs():
     cfg = fast_config(0)
     fleet = FleetMachine(cfg, machines=2)
@@ -253,6 +333,18 @@ def test_fleet_experiment_smoke():
     rendered = result.render()
     assert "baseline" in rendered and "dimetrodon" in rendered
     assert "round-robin" in rendered
+
+
+def test_fleet_table_is_deterministic():
+    """The rendered table carries simulated results only: the
+    wall-clock physics rate stays out of it (the CLI status line
+    reports it), so two identical runs print identical tables."""
+    runs = [
+        fleet_experiment(fast_config(0), machines=2, duration=4.0, warmup=1.0)
+        for _ in range(2)
+    ]
+    assert runs[0].render() == runs[1].render()
+    assert "chip-substeps" not in runs[0].render()
 
 
 # ======================================================================

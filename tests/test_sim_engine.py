@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
+from repro.telemetry import isolated
 
 
 def test_clock_starts_at_zero():
@@ -208,3 +209,38 @@ def test_run_until_leaves_cancelled_future_events_unpopped():
     # The cancelled entry sits beyond `until`; peek prunes it lazily.
     assert sim.now == 5.0
     assert sim.peek_next_time() is None
+
+
+def test_engine_counters_match_event_count_after_run():
+    with isolated() as reg:
+        sim = Simulator()
+        seen = []
+        for i in range(4):
+            sim.schedule(float(i + 1), lambda: seen.append(sim.event_count))
+        sim.run(until=2.5)
+        # Read from inside a callback, the count includes that event.
+        assert seen == [1, 2]
+        assert reg.value("sim.engine.events") == sim.event_count == 2
+        assert reg.value("sim.engine.virtual_time") == 2.5
+        sim.run()
+        assert reg.value("sim.engine.events") == sim.event_count == 4
+        assert reg.value("sim.engine.virtual_time") == 4.0
+
+
+def test_engine_counters_are_published_when_a_callback_raises():
+    def boom():
+        raise RuntimeError("callback failed")
+
+    with isolated() as reg:
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, boom)
+        sim.schedule(3.0, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.event_count == 2
+        assert reg.value("sim.engine.events") == 2
+        assert reg.value("sim.engine.virtual_time") == 2.0
+        assert sim.step() is True
+        assert reg.value("sim.engine.events") == sim.event_count == 3
+        assert reg.value("sim.engine.virtual_time") == 3.0

@@ -16,6 +16,8 @@ segment-reuse epoch logic, and its telemetry counters.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cpu.chip import Chip
 from repro.cpu.cstates import CState
@@ -25,7 +27,12 @@ from repro.experiments import Machine, fast_config
 from repro.telemetry import isolated
 from repro.thermal.floorplan import build_network
 from repro.thermal.params import ThermalParams
-from repro.thermal.rcnetwork import ThermalIntegrator
+from repro.thermal.rcnetwork import (
+    ChipAdvance,
+    ThermalIntegrator,
+    fused_substeps,
+    substep_views,
+)
 from repro.workloads import CpuBurn
 
 POWER_TOL_W = 1e-12
@@ -279,3 +286,67 @@ def test_end_to_end_fast_physics_matches_scalar():
         scalar.energy(0.0, 60.0), rel=1e-9
     )
     assert np.max(np.abs(scalar.core_temps - fused.core_temps)) <= TEMP_TOL_C
+
+
+# ----------------------------------------------------------------------
+# The single-chip advance
+# ----------------------------------------------------------------------
+MAX_SUBSTEP = 5e-3
+
+
+@st.composite
+def _durations(draw):
+    """Advance lengths where the substep count and the 1e-9 s
+    quantisation are most fragile: sub-nanosecond steps, whole
+    multiples of the substep cap, one ulp either side of them and of
+    the slack-shifted ``ceil`` boundary, and anything in between."""
+    kind = draw(st.sampled_from(["any", "sub_ns", "multiple", "near_multiple", "near_ceil"]))
+    if kind == "any":
+        return draw(st.floats(min_value=1e-12, max_value=0.25))
+    if kind == "sub_ns":
+        return draw(st.floats(min_value=1e-15, max_value=1e-9))
+    k = draw(st.integers(min_value=1, max_value=50))
+    exact = k * MAX_SUBSTEP
+    if kind == "multiple":
+        return exact
+    edge = exact if kind == "near_multiple" else (k + 1e-12) * MAX_SUBSTEP
+    return float(np.nextafter(edge, draw(st.sampled_from([0.0, 1.0]))))
+
+
+def _busy_coefficients():
+    chip = Chip(num_cores=4)
+    for i, core in enumerate(chip.cores):
+        if i % 2 == 0:
+            core.set_running(object(), 1.0, 0.0)
+        else:
+            core.set_idle(-100.0)
+    return chip.power_segment(0.0)[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(duration=_durations())
+def test_kernel_into_and_chip_advance_are_bit_equal_to_the_array_path(duration):
+    """kernel_into(h) is step_kernels([h])[0] bit for bit, and a
+    ChipAdvance equals the array-built kernel's substep loop with the
+    ``np.ceil`` substep count, bit for bit, end temperatures and energy."""
+    network = build_network(ThermalParams(), 4)
+    n = network.num_nodes
+    n_steps = max(1, int(np.ceil(duration / MAX_SUBSTEP - 1e-12)))
+    h = duration / n_steps
+    flat = network.kernel_into(h, np.empty((1, n * (2 * n + 1))))
+    assert np.array_equal(flat.reshape(n, 2 * n + 1), network.step_kernels([h])[0])
+
+    coefficients = _busy_coefficients()
+    temps = np.linspace(40.0, 70.0, n)
+    want, power_sum = fused_substeps(
+        network.step_kernel(h).fused,
+        n_steps,
+        temps,
+        coefficients.base,
+        coefficients.fused_terms(),
+        substep_views(n),
+    )
+    got, energy, got_steps = ChipAdvance(network, MAX_SUBSTEP)(temps, duration, coefficients)
+    assert got_steps == n_steps
+    assert np.array_equal(got, want)
+    assert energy == power_sum * h

@@ -8,6 +8,9 @@
    resolves to an existing file — a renamed or deleted page cannot
    leave dangling references behind.
 
+Link syntax inside fenced code blocks and inline code spans is code,
+not a link (``[E | B | s](h)`` in a formula), so both are skipped.
+
 CI runs this; exits non-zero listing any violation.
 """
 
@@ -20,10 +23,29 @@ from pathlib import Path
 #: Markdown inline links: capture the target inside ](...), dropping
 #: any #fragment. External schemes are filtered out afterwards.
 _LINK = re.compile(r"\]\(([^)#\s]+)(?:#[^)]*)?\)")
+#: An opening or closing code fence: three or more backticks or tildes.
+_FENCE = re.compile(r" {0,3}(`{3,}|~{3,})")
+#: An inline code span: a backtick run closed by a run of equal length.
+_CODE_SPAN = re.compile(r"(?<!`)(`+)(?!`).+?(?<!`)\1(?!`)", re.S)
+
+
+def prose(text: str) -> str:
+    """``text`` without its fenced code blocks and inline code spans."""
+    kept, fence = [], None
+    for line in text.splitlines():
+        match = _FENCE.match(line)
+        if fence is None:
+            if match:
+                fence = match.group(1)
+            else:
+                kept.append(line)
+        elif match and set(line.strip()) == {fence[0]} and len(line.strip()) >= len(fence):
+            fence = None
+    return _CODE_SPAN.sub("", "\n".join(kept))
 
 
 def unlinked_docs(repo_root: Path) -> list:
-    readme = (repo_root / "README.md").read_text()
+    readme = prose((repo_root / "README.md").read_text())
     linked = set(re.findall(r"\]\(((?:\./)?docs/[^)#]+)\)", readme))
     missing = []
     for page in sorted((repo_root / "docs").rglob("*")):
@@ -41,7 +63,7 @@ def broken_links(repo_root: Path) -> list:
     broken = []
     for source in sources:
         base = source.parent
-        for target in _LINK.findall(source.read_text()):
+        for target in _LINK.findall(prose(source.read_text())):
             if "://" in target or target.startswith("mailto:"):
                 continue
             if not (base / target).exists():
